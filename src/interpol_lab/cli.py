@@ -246,7 +246,11 @@ def _couple(node) -> BanachCouple:
 
 
 def _matrix(node) -> np.ndarray:
-    return np.array([[_entry(e) for e in row] for row in node["matrix"]], dtype=complex)
+    M = np.array([[_entry(e) for e in row] for row in node["matrix"]], dtype=complex)
+    if not np.all(np.isfinite(M)):
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ArgumentError(f"config field problem.operator.matrix[{i}][{j}]: entries must be finite")
+    return M
 
 
 def _operator(cfg) -> CoupleOperator:
@@ -272,6 +276,11 @@ def _theta_grid(cfg) -> np.ndarray:
         raise ArgumentError("config field functor.theta_grid: required for this command")
     if isinstance(node, list):
         return np.asarray(node, dtype=float)
+    for key in ("start", "stop", "step"):
+        if not math.isfinite(node[key]):
+            raise ArgumentError(f"config field functor.theta_grid.{key}: must be finite")
+    if not node["step"] > 0:
+        raise ArgumentError("config field functor.theta_grid.step: must be positive")
     return np.arange(node["start"], node["stop"] + 1e-12, node["step"])
 
 
@@ -295,6 +304,17 @@ def _sizes(cfg) -> VerifySizes:
     node = cfg.get("suites", {})
     base = VerifySizes.quick() if node.get("preset") == "quick" else VerifySizes()
     overrides = node.get("sizes", {})
+    known = {f.name: f.type for f in dataclasses.fields(VerifySizes)}
+    for key, value in overrides.items():
+        if key not in known:
+            raise ArgumentError(
+                f"config field suites.sizes.{key}: unknown size, expected one of {sorted(known)}"
+            )
+        integral = known[key] in (int, "int")
+        numeric = isinstance(value, int) or (not integral and isinstance(value, float))
+        if isinstance(value, bool) or not numeric or not value > 0:
+            kind = "a positive integer" if integral else "a positive number"
+            raise ArgumentError(f"config field suites.sizes.{key}: must be {kind}")
     if overrides:
         base = dataclasses.replace(base, **overrides)
     return base

@@ -22,7 +22,7 @@ ratio for the real method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,10 +33,11 @@ from .errors import ArgumentError, PrecisionError
 from .spaces import (
     INF,
     BanachCouple,
+    KProfile,
     WeightedSpace,
+    enforce_monotone,
     as_vector,
     k_functional,
-    k_profile,
 )
 
 
@@ -52,10 +53,19 @@ class QuadratureConfig:
         if self.points_per_decade < 1:
             raise ArgumentError("points_per_decade must be a positive integer")
 
-    def grid(self) -> np.ndarray:
+    @property
+    def intervals(self) -> int:
         decades = math.log10(self.t_max / self.t_min)
-        n = max(2, int(round(decades * self.points_per_decade)) + 1)
-        return np.exp(np.linspace(math.log(self.t_min), math.log(self.t_max), n))
+        return max(1, int(round(decades * self.points_per_decade)))
+
+    def grid(self) -> np.ndarray:
+        return np.exp(
+            np.linspace(math.log(self.t_min), math.log(self.t_max), self.intervals + 1)
+        )
+
+    def profile(self, x, couple: BanachCouple) -> KProfile:
+        """The couple's memoised K profile of x whose level 0 is this grid."""
+        return KProfile.of(couple, x, self.t_min, self.t_max, self.intervals)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -125,20 +135,6 @@ def trivial_couple_constant(theta: float, q: float) -> float:
     if q == INF:
         return 1.0
     return (1.0 / ((1.0 - theta) * q) + 1.0 / (theta * q)) ** (1.0 / q)
-
-
-def _enforce_monotone(Klo: np.ndarray, Khi: np.ndarray, ts: Optional[np.ndarray] = None):
-    """Tighten brackets using K nondecreasing and K(t)/t nonincreasing."""
-    Klo = np.maximum.accumulate(Klo)
-    Khi = np.minimum.accumulate(Khi[::-1])[::-1]
-    if ts is not None:
-        # K(t)/t nonincreasing: propagate lower bounds backward, upper forward
-        ratio_lo = np.maximum.accumulate((Klo / ts)[::-1])[::-1]
-        Klo = np.maximum(Klo, ratio_lo * ts)
-        ratio_hi = np.minimum.accumulate(Khi / ts)
-        Khi = np.minimum(Khi, ratio_hi * ts)
-    Klo = np.minimum(Klo, Khi)
-    return Klo, Khi
 
 
 def _tangent_lines(ts, Klo, Khi):
@@ -260,33 +256,24 @@ def _padded(lo: float, up: float) -> NormBracket:
     return NormBracket(lo * (1.0 - _ROUNDOFF_PAD), up * (1.0 + _ROUNDOFF_PAD))
 
 
-def _sup_profile(x, couple, ts):
-    """K profile on a grid augmented with estimated peak locations.
+def _peak_abscissae(ts, Klo, Khi):
+    return _tangent_crossings(ts, *_tangent_lines(ts, Klo, Khi))
+
+
+def _sup_profile(profile: KProfile, level: int):
+    """K profile on a level grid augmented with estimated peak locations.
 
     The sup of t^-theta K is often attained between nodes (near kinks of K);
-    one refinement pass inserts the tangent-crossing abscissae so the grid
-    lower bound reaches the peak to O(h^2).
+    the tangent-crossing abscissae are inserted so the grid lower bound
+    reaches the peak to O(h^2).  They depend on K alone, so the profile
+    keeps the augmented grid for every theta.
     """
-    Klo, Khi = _enforce_monotone(*k_profile(x, couple, ts), ts)
-    al, bl, ar, br = _tangent_lines(ts, Klo, Khi)
-    tx = _tangent_crossings(ts, al, bl, ar, br)
-    ts_aug = np.unique(np.concatenate([ts, tx]))
-    Klo, Khi = _enforce_monotone(*k_profile(x, couple, ts_aug), ts_aug)
-    return ts_aug, Klo, Khi
+    return profile.augmented(level, _peak_abscissae)
 
 
-def _real_norm_once(x, couple, theta, q, cfg):
-    ts = cfg.grid()
+def _real_norm_once(profile: KProfile, level: int, theta, q, n0, n1):
     if q == INF:
-        ts, Klo, Khi = _sup_profile(x, couple, ts)
-    else:
-        Klo, Khi = _enforce_monotone(*k_profile(x, couple, ts), ts)
-    n0 = couple.space0.norm(x)
-    n1 = couple.space1.norm(x)
-    if n0 == 0.0:
-        return NormBracket(0.0, 0.0)
-
-    if q == INF:
+        ts, Klo, Khi = _sup_profile(profile, level)
         lo, up = _window_bracket_sup(ts, Klo, Khi, theta)
         t_max, t_min = ts[-1], ts[0]
         # right tail: K <= min(n0, K(t_max) t / t_max)
@@ -301,6 +288,7 @@ def _real_norm_once(x, couple, theta, q, cfg):
             up = max(up, Khi[0] ** (1.0 - theta) * n1**theta)
         return _padded(lo, up)
 
+    ts, Klo, Khi = profile.brackets(level)
     t_max, t_min = ts[-1], ts[0]
     a0, a1 = -q * theta, q * (1.0 - theta)
     int_lo, int_up = _window_bracket_finite_q(ts, Klo, Khi, theta, q)
@@ -321,6 +309,23 @@ def _real_norm_once(x, couple, theta, q, cfg):
     return _padded(lo, up)
 
 
+def _unit_binade(x):
+    """(|x| 2^-e, e) with the largest entry of |x| 2^-e in [1/2, 1).
+
+    Real norms are positively homogeneous and a power-of-two scaling is
+    exact, so they are computed at this scale, where K^q neither under- nor
+    overflows, and scaled back; vectors that differ by a power of two share
+    one K profile.
+    """
+    m = np.abs(x)
+    e = int(np.frexp(np.max(m))[1])
+    return np.ldexp(m, -e), e
+
+
+def _scaled(bracket: NormBracket, e: int) -> NormBracket:
+    return NormBracket(float(np.ldexp(bracket.lower, e)), float(np.ldexp(bracket.upper, e)))
+
+
 def real_norm(
     x,
     couple: BanachCouple,
@@ -332,29 +337,35 @@ def real_norm(
 ) -> NormBracket:
     """Certified bracket for the real (theta, q) norm of x.
 
-    With ``rtol`` set, the log grid is refined (points per decade doubled)
-    until the relative bracket width drops below it; exhausting the budget
-    raises :class:`PrecisionError` with the best bracket attached.
+    The bracket is a reduction of the couple's K profile of |x| (see
+    :class:`~interpol_lab.spaces.KProfile`), which no theta or q changes:
+    later calls on the same (couple, x) evaluate no K at levels already
+    built.  With ``rtol`` set, the grid is refined level by level, each
+    level inserting the geometric midpoints of the previous one (points per
+    decade doubled), until the relative bracket width drops below it;
+    exhausting ``max_refinements`` levels raises :class:`PrecisionError`
+    with the best bracket attached.
     """
     FunctorSpec("real", theta, q)  # parameter validation
     cfg = cfg or DEFAULT_QUADRATURE
     x = as_vector(x, couple.dim)
     if not np.any(np.abs(x) > 0):
         return NormBracket(0.0, 0.0)
-    bracket = _real_norm_once(x, couple, theta, q, cfg)
-    if rtol is None:
-        return bracket
-    for _ in range(max_refinements):
-        if bracket.relative_width <= rtol:
-            return bracket
-        cfg = replace(cfg, points_per_decade=cfg.points_per_decade * 2)
-        bracket = _real_norm_once(x, couple, theta, q, cfg)
-    if bracket.relative_width <= rtol:
-        return bracket
-    raise PrecisionError(
-        f"real norm bracket width {bracket.relative_width:.3e} above {rtol:.3e}",
-        bracket=bracket,
-    )
+    m, e = _unit_binade(x)
+    n0, n1 = couple.space0.norm(m), couple.space1.norm(m)
+    profile = cfg.profile(m, couple)
+    bracket = _real_norm_once(profile, 0, theta, q, n0, n1)
+    level = 0
+    while rtol is not None and bracket.relative_width > rtol and level < max_refinements:
+        level += 1
+        bracket = _real_norm_once(profile, level, theta, q, n0, n1)
+    bracket = _scaled(bracket, e)
+    if rtol is not None and bracket.relative_width > rtol:
+        raise PrecisionError(
+            f"real norm bracket width {bracket.relative_width:.3e} above {rtol:.3e}",
+            bracket=bracket,
+        )
+    return bracket
 
 
 def windowed_real_norm(
@@ -365,14 +376,15 @@ def windowed_real_norm(
     x = as_vector(x, couple.dim)
     if not np.any(np.abs(x) > 0):
         return NormBracket(0.0, 0.0)
-    ts = cfg.grid()
+    m, e = _unit_binade(x)
+    profile = cfg.profile(m, couple)
     if q == INF:
-        ts, Klo, Khi = _sup_profile(x, couple, ts)
+        ts, Klo, Khi = _sup_profile(profile, 0)
         lo, up = _window_bracket_sup(ts, Klo, Khi, theta)
-        return _padded(lo, up)
-    Klo, Khi = _enforce_monotone(*k_profile(x, couple, ts), ts)
+        return _scaled(_padded(lo, up), e)
+    ts, Klo, Khi = profile.brackets(0)
     lo, up = _window_bracket_finite_q(ts, Klo, Khi, theta, q)
-    return _padded(lo ** (1.0 / q), up ** (1.0 / q))
+    return _scaled(_padded(lo ** (1.0 / q), up ** (1.0 / q)), e)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +664,7 @@ def _iterated_real_estimate(x, couple, theta0, theta1, lam, q, cfg):
     outer_cfg = QuadratureConfig(1e-6, 1e6, 16)
     ts = outer_cfg.grid()
     kvals = np.min(pairs[:, 0][None, :] + ts[:, None] * pairs[:, 1][None, :], axis=1)
-    Klo, Khi = _enforce_monotone(kvals.copy(), kvals.copy(), ts)
+    Klo, Khi = enforce_monotone(kvals.copy(), kvals.copy(), ts)
     if q == INF:
         _, up = _window_bracket_sup(ts, Klo, Khi, lam)
         return up / trivial_couple_constant(lam, q)

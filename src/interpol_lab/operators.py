@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -71,16 +71,6 @@ def _row_formula(M, from_space: WeightedSpace, wb) -> float:
 def _spectral_formula(M, wa, wb) -> float:
     scaled = wb[:, None] * M / wa[None, :]
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
-
-
-def _exact_pair_norm(M, A: WeightedSpace, B: WeightedSpace) -> Optional[float]:
-    if A.p == 1:
-        return _col_formula(M, A.weights, B)
-    if B.p == INF:
-        return _row_formula(M, A, B.weights)
-    if A.p == 2 and B.p == 2:
-        return _spectral_formula(M, A.weights, B.weights)
-    return None
 
 
 def _ascent_lower(M, A: WeightedSpace, B: WeightedSpace, rng=None) -> float:

@@ -29,8 +29,10 @@ over real z >= 0, which yields certified lower bounds from any feasible z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -65,10 +67,14 @@ def magnitude_pnorm(values: np.ndarray, w: np.ndarray, p: float) -> float:
     if p == 1:
         return float(np.sum(wy))
     if p == 2:
-        return float(np.linalg.norm(wy))
+        n = float(np.linalg.norm(wy))
+        # the unscaled sum of squares under- or overflows outside ~1e+-154;
+        # 0 and non-finite results are redone below with max scaling
+        if 0.0 < n < INF:
+            return n
     m = float(np.max(wy)) if wy.size else 0.0
-    if m == 0.0:
-        return 0.0
+    if m == 0.0 or not math.isfinite(m):
+        return m
     return m * float(np.sum((wy / m) ** p)) ** (1.0 / p)
 
 
@@ -113,10 +119,18 @@ class WeightedSpace:
 
 @dataclass(frozen=True, eq=False)
 class BanachCouple:
-    """Ordered pair of weighted spaces on one coordinate set."""
+    """Ordered pair of weighted spaces on one coordinate set.
+
+    A couple is immutable (frozen spaces, read-only weights), so it keeps a
+    bounded memo of the K profiles computed over it (see :class:`KProfile`);
+    the memo is freed with the couple.
+    """
 
     space0: WeightedSpace
     space1: WeightedSpace
+    _profiles: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.space0.dim != self.space1.dim:
@@ -474,19 +488,19 @@ def _k_general_scalar(t, x, m, w0, p0, w1, p1, tol):
     for attempt in range(3):
         for lam0 in starts:
             if smooth:
-                res = optimize.minimize(
+                lam = optimize.minimize(
                     objective,
                     lam0,
                     jac=grad,
                     method="L-BFGS-B",
                     bounds=[(0.0, 1.0)] * d,
                     options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
-                )
+                ).x
             else:
-                res = _k_epigraph_solve(t, m, w0, p0, w1, p1, lam0)
-            val = objective(res.x)
+                lam = _k_epigraph_solve(t, m, w0, p0, w1, p1, lam0)
+            val = objective(lam)
             if val < best_val:
-                best_val, best_lam = val, np.clip(res.x, 0.0, 1.0)
+                best_val, best_lam = val, np.clip(lam, 0.0, 1.0)
         u, v = best_lam * m, (1.0 - best_lam) * m
         z0 = _subgradient(u, w0, p0)
         z1 = _subgradient(v, w1, p1)
@@ -515,8 +529,9 @@ def _k_general_scalar(t, x, m, w0, p0, w1, p1, tol):
     )
 
 
-def _k_epigraph_solve(t, m, w0, p0, w1, p1, lam0):
-    """SLSQP epigraph formulation used when an exponent is infinite."""
+def _k_epigraph_solve(t, m, w0, p0, w1, p1, lam0) -> np.ndarray:
+    """SLSQP epigraph formulation used when an exponent is infinite; returns
+    the shrinkage factors clipped to [0, 1]."""
     d = m.size
 
     def pack(lam, a, b):
@@ -574,11 +589,7 @@ def _k_epigraph_solve(t, m, w0, p0, w1, p1, lam0):
         constraints=cons,
         options={"maxiter": 400, "ftol": 1e-14},
     )
-
-    class _R:
-        x = np.clip(res.x[:d], 0.0, 1.0)
-
-    return _R
+    return np.clip(res.x[:d], 0.0, 1.0)
 
 
 def k_functional(t: float, x, couple: BanachCouple, tol: float = 1e-8) -> KEvaluation:
@@ -673,7 +684,7 @@ def k_profile(x, couple: BanachCouple, ts: np.ndarray) -> Tuple[np.ndarray, np.n
         rlo, rhi = k_profile(x, couple.reversed(), 1.0 / ts)
         lo, hi = ts * rlo, ts * rhi
     elif p0 == 2 and p1 == 2:
-        lo, hi = _k_profile_l2_l2(x, m, w0, w1, ts)
+        lo, hi = _k_profile_l2_l2(m, w0, w1, ts)
     elif p0 == 1 and p1 == 2:
         lo, hi = _k_profile_l1_l2(m, w0, w1, ts)
     elif p0 == 2 and p1 == 1:
@@ -693,7 +704,17 @@ def k_profile(x, couple: BanachCouple, ts: np.ndarray) -> Tuple[np.ndarray, np.n
     return lo, hi
 
 
-def _k_profile_l2_l2(x, m, w0, w1, ts):
+def _binary_exponent(m) -> int:
+    """e with max(m) in [2^(e-1), 2^e).  K is positively homogeneous and a
+    power-of-two rescaling is exact, so the l2 profile paths run on
+    m 2^-e, where their unscaled sums of squares neither under- nor
+    overflow, and scale the brackets back bit for bit."""
+    return int(np.frexp(np.max(m))[1])
+
+
+def _k_profile_l2_l2(m, w0, w1, ts):
+    e = _binary_exponent(m)
+    m = np.ldexp(m, -e)
     n0 = magnitude_pnorm(m, w0, 2)
     n1 = magnitude_pnorm(m, w1, 2)
     g0 = magnitude_pnorm(m, w1 * w1 / w0, 2)
@@ -709,22 +730,9 @@ def _k_profile_l2_l2(x, m, w0, w1, ts):
     if np.any(interior):
         ti = ts[interior]
         w0sq, w1sq = w0 * w0, w1 * w1
-        a_log = np.full(ti.shape, -80.0)
-        b_log = np.full(ti.shape, 80.0)
-        for _ in range(120):
-            mid = 0.5 * (a_log + b_log)
-            rho = np.exp(mid)
-            den = w0sq[None, :] + ti[:, None] * rho[:, None] * w1sq[None, :]
-            u = m[None, :] * (ti[:, None] * rho[:, None] * w1sq[None, :]) / den
-            v = m[None, :] * w0sq[None, :] / den
-            A = np.sqrt(np.sum((w0[None, :] * u) ** 2, axis=1))
-            B = np.sqrt(np.sum((w1[None, :] * v) ** 2, axis=1))
-            sign = A / np.maximum(B, _EPS) - rho
-            a_log = np.where(sign > 0, mid, a_log)
-            b_log = np.where(sign > 0, b_log, mid)
-        rho = np.exp(0.5 * (a_log + b_log))
-        den = w0sq[None, :] + ti[:, None] * rho[:, None] * w1sq[None, :]
-        u = m[None, :] * (ti[:, None] * rho[:, None] * w1sq[None, :]) / den
+        kappa = np.exp(_l2_l2_log_kappa(m, w0sq, w1sq, ti))
+        den = w0sq[None, :] + kappa[:, None] * w1sq[None, :]
+        u = m[None, :] * (kappa[:, None] * w1sq[None, :]) / den
         v = m[None, :] * w0sq[None, :] / den
         A = np.sqrt(np.sum((w0[None, :] * u) ** 2, axis=1))
         B = np.sqrt(np.sum((w1[None, :] * v) ** 2, axis=1))
@@ -735,10 +743,61 @@ def _k_profile_l2_l2(x, m, w0, w1, ts):
         lower = np.minimum(np.sum(m[None, :] * nu, axis=1) / scale, upper)
         lo[interior] = lower
         hi[interior] = upper
-    return lo, hi
+    return np.ldexp(lo, e), np.ldexp(hi, e)
+
+
+_NEWTON_MAX_STEPS = 100
+
+
+def _l2_l2_log_kappa(m, w0sq, w1sq, ts):
+    """log kappa(t) of the optimal (2, 2) split, by safeguarded Newton.
+
+    The split u = m kappa w1^2 / (w0^2 + kappa w1^2) is optimal iff
+        g(kappa) = sum_i m_i^2 w1_i^2 (t^2 r_i - 1) h_i^2 = 0,
+        h_i = (1 + kappa / t^2) / (1 + kappa r_i),   r_i = w1_i^2 / w0_i^2,
+    and g is strictly decreasing with g(0+) > 0 > g(inf) on the interior t
+    range, so the root is unique.  Newton runs in s = log kappa inside the
+    bracket log t +- 80; a step leaving the bracket is replaced by its
+    midpoint.  Each t stops on its own once the step or the bracket falls
+    below 1e-12, so the result at one t does not depend on the other ts.
+    Only the accuracy of the split depends on this root, not the soundness
+    of the dual lower end built from it.
+    """
+    r = w1sq / w0sq
+    c = (m * m * w1sq)[None, :]
+    s = np.log(ts)
+    a, b = s - 80.0, s + 80.0
+    act = np.arange(ts.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if act.size == 0:
+            break
+        sa, ta = s[act], ts[act]
+        kappa = np.exp(sa)[:, None]
+        tau = (1.0 / (ta * ta))[:, None]
+        inv = 1.0 / (1.0 + kappa * r[None, :])
+        h = (1.0 + kappa * tau) * inv
+        cr = c * (r[None, :] / tau - 1.0)
+        g = np.sum(cr * h * h, axis=1)
+        dg = 2.0 * np.sum(cr * h * (tau - r[None, :]) * inv * inv, axis=1) * kappa[:, 0]
+        aa = np.where(g > 0, sa, a[act])
+        bb = np.where(g > 0, b[act], sa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -g / dg
+        nxt = sa + step
+        tol = 1e-12 * np.maximum(1.0, np.abs(sa))
+        small = np.abs(step) <= tol
+        inside = (nxt > aa) & (nxt < bb)
+        nxt = np.where(small, np.clip(nxt, aa, bb), np.where(inside, nxt, 0.5 * (aa + bb)))
+        done = (g == 0) | small | (bb - aa <= tol)
+        s[act] = np.where(g == 0, sa, nxt)
+        a[act], b[act] = aa, bb
+        act = act[~done]
+    return s
 
 
 def _k_profile_l1_l2(m, w0, w1, ts):
+    e = _binary_exponent(m)
+    m = np.ldexp(m, -e)
     T = ts.size
     lo = np.empty(T)
     hi = np.empty(T)
@@ -750,16 +809,8 @@ def _k_profile_l1_l2(m, w0, w1, ts):
         ti = ts[interior]
         sup = m > 0
         lam_hi = 2.0 * float(np.max(w0[sup] / (w1[sup] ** 2 * m[sup]))) + 1.0
-        a = np.zeros(ti.shape)
-        b = np.full(ti.shape, lam_hi)
         w1sq = w1 * w1
-        for _ in range(120):
-            mid = 0.5 * (a + b)
-            z = np.minimum(w0[None, :], mid[:, None] * (w1sq * m)[None, :])
-            g = np.sqrt(np.sum((z / w1[None, :]) ** 2, axis=1)) - ti
-            a = np.where(g < 0, mid, a)
-            b = np.where(g < 0, b, mid)
-        lam = 0.5 * (a + b)
+        lam = _l1_l2_lambda(w0 / w1, w1 * m, ti, lam_hi)
         z = np.minimum(w0[None, :], lam[:, None] * (w1sq * m)[None, :])
         d0 = np.max(z / w0[None, :], axis=1)
         d1 = np.sqrt(np.sum((z / w1[None, :]) ** 2, axis=1)) / ti
@@ -778,4 +829,161 @@ def _k_profile_l1_l2(m, w0, w1, ts):
         )
         lo[interior] = np.minimum(lower, upper)
         hi[interior] = upper
-    return lo, hi
+    return np.ldexp(lo, e), np.ldexp(hi, e)
+
+
+def _l1_l2_lambda(a, b, ts, lam_hi):
+    """Dual waterfilling level of the (1, 2) pair: ||min(a, lam b)||_2 = t.
+
+    In mu = lam^2 the map H(mu) = sum_i min(a_i^2, mu b_i^2) - t^2 is
+    concave, nondecreasing and piecewise linear, so Newton from mu = 0
+    never overshoots and lands on the root of the piece that holds it: each
+    step enters a new piece, and d + 2 steps reach the root exactly.  Where
+    H stays negative (every coordinate saturates first) the level is capped
+    at ``lam_hi``, which saturates them all.
+    """
+    a2, b2 = (a * a)[None, :], (b * b)[None, :]
+    t2 = ts * ts
+    mu_hi = lam_hi * lam_hi
+    mu = np.zeros(ts.size)
+    for _ in range(a.size + 2):
+        sat = mu[:, None] * b2 >= a2
+        S = np.sum(np.where(sat, a2, 0.0), axis=1)
+        slope = np.sum(np.where(sat, 0.0, b2), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(slope > 0, (t2 - S) / slope, mu_hi)
+        mu = np.clip(nxt, 0.0, mu_hi)
+    return np.sqrt(mu)
+
+
+# ---------------------------------------------------------------------------
+# the K-profile engine: one certified profile per (couple, |x|, grid)
+
+
+def enforce_monotone(Klo: np.ndarray, Khi: np.ndarray, ts: Optional[np.ndarray] = None):
+    """Tighten brackets using K nondecreasing and K(t)/t nonincreasing."""
+    Klo = np.maximum.accumulate(Klo)
+    Khi = np.minimum.accumulate(Khi[::-1])[::-1]
+    if ts is not None:
+        # K(t)/t nonincreasing: propagate lower bounds backward, upper forward
+        ratio_lo = np.maximum.accumulate((Klo / ts)[::-1])[::-1]
+        Klo = np.maximum(Klo, ratio_lo * ts)
+        ratio_hi = np.minimum.accumulate(Khi / ts)
+        Khi = np.minimum(Khi, ratio_hi * ts)
+    Klo = np.minimum(Klo, Khi)
+    return Klo, Khi
+
+
+PROFILE_MEMO_SIZE = 8
+_PROFILE_LOCK = threading.RLock()
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+class KProfile:
+    """Certified K(t, x) brackets of one |x| over one couple on a nested log grid.
+
+    Level 0 is the log grid of ``intervals + 1`` nodes on [t_min, t_max];
+    level k + 1 is level k with the geometric midpoints inserted.  The raw
+    ``k_profile`` brackets are stored once, on the finest level computed so
+    far (level k sits on every 2^(K - k)-th node of level K), so a
+    refinement evaluates only its new nodes.  A level's brackets are
+    monotone-enforced over that level's nodes alone, ``k_profile`` brackets
+    each t independently of the rest of its batch, and the grid nodes are
+    evaluated in the same batches whatever order the levels are asked for
+    in, so an answer does not depend on call history.
+
+    Obtain profiles through :meth:`of`, which memoises them on the couple.
+    """
+
+    def __init__(self, couple: BanachCouple, m: np.ndarray, t_min: float, t_max: float, intervals: int):
+        if not (0.0 < t_min < t_max) or intervals < 1:
+            raise ArgumentError("profile grid needs 0 < t_min < t_max and intervals >= 1")
+        # a memo-free twin of the couple: the profile sits in the couple's
+        # memo, and a reference back to the couple would be a cycle
+        self._couple = BanachCouple(couple.space0, couple.space1)
+        self._m = _frozen(np.array(m, dtype=float))[0]
+        self._span = (math.log(t_min), math.log(t_max))
+        self._intervals = int(intervals)
+        self._level = 0
+        self._ts = np.exp(np.linspace(*self._span, self._intervals + 1))
+        self._lo, self._hi = _frozen(*k_profile(self._m, self._couple, self._ts))
+        self._augmented = {}
+        self._off_grid = _frozen(np.empty(0), np.empty(0), np.empty(0))
+
+    @classmethod
+    def of(cls, couple: BanachCouple, x, t_min: float, t_max: float, intervals: int) -> "KProfile":
+        """The memoised profile of x over the couple; K(t, x) = K(t, |x|),
+        so the key is the bytes of |x| with the grid parameters.  The memo
+        keeps the ``PROFILE_MEMO_SIZE`` most recently used profiles."""
+        m = np.abs(as_vector(x, couple.dim))
+        key = (m.tobytes(), float(t_min), float(t_max), int(intervals))
+        memo = couple._profiles
+        with _PROFILE_LOCK:
+            profile = memo.get(key)
+            if profile is None:
+                profile = memo[key] = cls(couple, m, t_min, t_max, intervals)
+                while len(memo) > PROFILE_MEMO_SIZE:
+                    memo.popitem(last=False)
+            else:
+                memo.move_to_end(key)
+        return profile
+
+    def _refine_to(self, level: int) -> None:
+        while self._level < level:
+            n = self._intervals << (self._level + 1)
+            mids = np.exp(np.linspace(*self._span, n + 1)[1::2])
+            lo, hi = k_profile(self._m, self._couple, mids)
+            merged = []
+            for old, new in ((self._ts, mids), (self._lo, lo), (self._hi, hi)):
+                both = np.empty(n + 1)
+                both[::2], both[1::2] = old, new
+                merged.append(both)
+            self._ts, self._lo, self._hi = _frozen(*merged)
+            self._level += 1
+
+    def _raw(self, level: int):
+        if level < 0:
+            raise ArgumentError("profile level must be nonnegative")
+        with _PROFILE_LOCK:
+            self._refine_to(level)
+            stride = 1 << (self._level - level)
+            return self._ts[::stride], self._lo[::stride], self._hi[::stride]
+
+    def brackets(self, level: int = 0):
+        """(ts, Klo, Khi) on the level grid, monotone-enforced."""
+        ts, lo, hi = self._raw(level)
+        return (ts,) + enforce_monotone(lo, hi, ts)
+
+    def augmented(self, level: int, abscissae: Callable):
+        """Monotone-enforced (ts, Klo, Khi) on the level grid joined with the
+        nodes ``abscissae(ts, Klo, Khi)`` picks from that level's brackets.
+
+        The extra nodes depend on K alone, so they are memoised per (level,
+        abscissae).  Their raw brackets join one sorted store of off-grid
+        nodes shared by all levels, so a node that several levels pick is
+        evaluated once.
+        """
+        key = (level, abscissae)
+        with _PROFILE_LOCK:
+            ts, lo, hi = self._raw(level)
+            if key not in self._augmented:
+                extra = np.setdiff1d(abscissae(ts, *enforce_monotone(lo, hi, ts)), ts)
+                new = np.setdiff1d(extra, self._off_grid[0])
+                if new.size:
+                    at = np.searchsorted(self._off_grid[0], new)
+                    found = (new,) + k_profile(self._m, self._couple, new)
+                    self._off_grid = _frozen(
+                        *(np.insert(a, at, b) for a, b in zip(self._off_grid, found))
+                    )
+                self._augmented[key] = _frozen(extra)[0]
+            extra = self._augmented[key]
+            pos = np.searchsorted(self._off_grid[0], extra)
+            xlo, xhi = self._off_grid[1][pos], self._off_grid[2][pos]
+        at = np.searchsorted(ts, extra)
+        ts, lo, hi = (np.insert(a, at, b) for a, b in ((ts, extra), (lo, xlo), (hi, xhi)))
+        return (ts,) + enforce_monotone(lo, hi, ts)

@@ -192,3 +192,32 @@ def test_load_config_rejects_bad_yaml(tmp_path):
 def test_bundled_configs_are_valid():
     for name in ("shear_sweep.yaml", "verify_quick.yaml", "kfun_example.yaml"):
         load_config(str(CONFIGS / name))
+
+
+def test_zero_theta_step_exits_two(tmp_path, capsys):
+    data = identity_sweep_cfg(tmp_path / "o")
+    data["functor"]["theta_grid"]["step"] = 0
+    cfg = write_cfg(tmp_path, data)
+    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+    assert "functor.theta_grid.step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), [0.0, float("-inf")]])
+def test_nonfinite_matrix_entry_exits_two(tmp_path, capsys, entry):
+    data = identity_sweep_cfg(tmp_path / "o")
+    data["problem"]["operator"]["matrix"][1][0] = entry
+    cfg = write_cfg(tmp_path, data)
+    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+    assert "problem.operator.matrix[1][0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sizes,field",
+    [({"bogus_samples": 3}, "suites.sizes.bogus_samples"),
+     ({"cancellation_samples": "many"}, "suites.sizes.cancellation_samples")],
+)
+def test_bad_suite_size_exits_two(tmp_path, capsys, sizes, field):
+    data = {"suites": {"preset": "quick", "sizes": sizes}, "output": {"dir": str(tmp_path / "o")}}
+    cfg = write_cfg(tmp_path, data)
+    assert main(["cancel", "--config", cfg]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err

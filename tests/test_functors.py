@@ -276,3 +276,17 @@ def test_windowed_norm_below_full_norm(theta, q):
     full = real_norm(x, C, theta, q)
     win = windowed_real_norm(x, C, theta, q)
     assert win.lower <= full.upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_real_norm_at_extreme_magnitudes(scale, p):
+    # K^q under- or overflows at these magnitudes unless x is rescaled first
+    C = BanachCouple(WeightedSpace(p, [1.0, 3.0]), WeightedSpace(p, [2.0, 0.5]))
+    x = np.array([1.0, -2.0j])
+    for q in (1.0, 2.0, 1.5, INF):
+        b = real_norm(x, C, 0.4, q)
+        bs = real_norm(scale * x, C, 0.4, q)
+        assert bs.lower > 0
+        assert bs.lower / scale <= b.upper * (1 + 1e-9)
+        assert bs.upper / scale >= b.lower * (1 - 1e-9)

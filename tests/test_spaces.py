@@ -55,6 +55,18 @@ def test_weights_must_be_positive():
         WeightedSpace(0.5, [1.0])
 
 
+@pytest.mark.parametrize("scale", [1e-185, 1e200])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_l2_norm_at_extreme_magnitudes(scale):
+    # the unscaled sum of squares under- or overflows at these magnitudes
+    # (numpy warns on the overflow before the scaled sum takes over)
+    X = WeightedSpace(2.0, [1.0, 2.0])
+    assert X.norm([scale, 0]) == pytest.approx(scale, rel=1e-15, abs=0)
+    assert X.norm([0, scale]) == pytest.approx(2.0 * scale, rel=1e-15, abs=0)
+    assert X.norm([scale, scale]) == pytest.approx(math.sqrt(5.0) * scale, rel=1e-15, abs=0)
+    assert X.norm([3.0, 2.0]) == pytest.approx(5.0, rel=1e-15, abs=0)
+
+
 @st.composite
 def space_and_vectors(draw, max_dim=5):
     d = draw(st.integers(1, max_dim))
@@ -193,13 +205,35 @@ def test_k_profile_matches_scalar_paths():
             np.exp(rng.uniform(-2, 2, d)), p0, np.exp(rng.uniform(-2, 2, d)), p1
         )
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
-        lo, hi = k_profile(x, C, ts)
-        assert np.all(lo <= hi + 1e-12)
-        for i in (0, 7, 19, 39):
-            ev = k_functional(float(ts[i]), x, C)
-            assert lo[i] <= ev.upper + 1e-9 * (1 + ev.upper)
-            assert hi[i] >= ev.value - 1e-9 * (1 + ev.value)
-            assert hi[i] - lo[i] <= 1e-7 * max(1.0, hi[i])
+        _check_profile_against_scalar(x, C, ts)
+    # the Newton root solves of the (2, 2) and (1, 2) paths, (2, 1) by the
+    # t-swap, across weight spans, supports and near-equal weights
+    for span in (1.5, 4.0, "near-equal"):
+        for p0, p1 in [(2, 2), (1, 2), (2, 1)]:
+            for d in (1, 2, 4, 6):
+                if span == "near-equal":
+                    w0 = np.exp(rng.uniform(-1, 1, d))
+                    w1 = w0 * (1.0 + 1e-9 * rng.uniform(-1, 1, d))
+                else:
+                    w0 = np.exp(rng.uniform(-span, span, d))
+                    w1 = np.exp(rng.uniform(-span, span, d))
+                x = rng.normal(size=d) + 1j * rng.normal(size=d)
+                if d > 2:
+                    x[1] = 0.0
+                lo, hi = _check_profile_against_scalar(x, couple(w0, p0, w1, p1), ts)
+                # a converged root closes the certified gap to round-off
+                assert np.all(hi - lo <= 1e-13 * hi)
+
+
+def _check_profile_against_scalar(x, C, ts):
+    lo, hi = k_profile(x, C, ts)
+    assert np.all(lo <= hi + 1e-12)
+    for i in (0, 7, 19, 39):
+        ev = k_functional(float(ts[i]), x, C)
+        assert lo[i] <= ev.upper + 1e-9 * (1 + ev.upper)
+        assert hi[i] >= ev.value - 1e-9 * (1 + ev.value)
+        assert hi[i] - lo[i] <= 1e-7 * max(1.0, hi[i])
+    return lo, hi
 
 
 def test_k_requires_positive_t_and_tol():
