@@ -45,6 +45,7 @@ from .operators import (
     OperatorNormResult,
     gamma_lower_bound,
     interpolated_operator_norm,
+    interpolated_operator_norms,
     invert,
     inverse_norm,
     is_order_isomorphism,

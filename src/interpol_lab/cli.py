@@ -246,7 +246,14 @@ def _couple(node) -> BanachCouple:
 
 
 def _matrix(node) -> np.ndarray:
-    M = np.array([[_entry(e) for e in row] for row in node["matrix"]], dtype=complex)
+    rows = node["matrix"]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ArgumentError(
+                f"config field problem.operator.matrix[{i}]: has {len(row)} entries, "
+                f"row 0 has {len(rows[0])}"
+            )
+    M = np.array([[_entry(e) for e in row] for row in rows], dtype=complex)
     if not np.all(np.isfinite(M)):
         i, j = np.argwhere(~np.isfinite(M))[0]
         raise ArgumentError(f"config field problem.operator.matrix[{i}][{j}]: entries must be finite")

@@ -391,19 +391,22 @@ def windowed_real_norm(
 # Calderon construction on weighted lattices (exact)
 
 
-def calderon_weights(couple: BanachCouple, theta: float):
-    """Exponent and weights of the Calderon space; theta in [0, 1] allowed."""
-    if not (0.0 <= theta <= 1.0):
+def calderon_weights(couple: BanachCouple, theta):
+    """Exponent and weights of the Calderon space; theta in [0, 1] allowed.
+
+    An array of thetas gives an array of exponents and one row of weights
+    per theta.
+    """
+    th = np.asarray(theta, dtype=float)
+    if not np.all((0.0 <= th) & (th <= 1.0)):
         raise ArgumentError("theta must lie in [0, 1]")
     s0, s1 = couple.space0, couple.space1
-    inv_p = 0.0
-    if s0.p != INF:
-        inv_p += (1.0 - theta) / s0.p
-    if s1.p != INF:
-        inv_p += theta / s1.p
-    p = INF if inv_p == 0.0 else 1.0 / inv_p
-    w = s0.weights ** (1.0 - theta) * s1.weights**theta
-    return p, w
+    inv_p = (1.0 - th) / s0.p + th / s1.p  # an l^inf endpoint adds 1/inf = 0
+    with np.errstate(divide="ignore"):
+        p = 1.0 / inv_p
+    t = th[..., None]
+    w = s0.weights ** (1.0 - t) * s1.weights**t
+    return (float(p), w) if th.ndim == 0 else (p, w)
 
 
 def calderon_complex_space(couple: BanachCouple, theta: float) -> WeightedSpace:

@@ -8,6 +8,12 @@ bracket: an ascent lower bound from candidate vectors and an upper bound
 obtained by writing both spaces as Calderon midpoints of exactly computable
 anchors (norms are log-convex along such segments), with counting-measure
 embeddings as a fallback.
+
+One batched kernel computes them for a whole stack of (exponent, weights)
+pairs sharing one matrix: a single norm is the stack of one, and the
+Calderon norms of a theta grid are one stack.  The theta-independent
+endpoint norms are cached on each ``CoupleOperator``, and ``invert`` keeps
+the inverse with its own cache, so a sweep computes them once per operator.
 """
 
 from __future__ import annotations
@@ -18,12 +24,15 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .brackets import NormBracket, exact
+from .brackets import NormBracket
 from .errors import ArgumentError, SingularOperatorError
-from .functors import FunctorSpec, calderon_complex_space
+from .functors import FunctorFamily, FunctorSpec, calderon_weights
 from .spaces import INF, BanachCouple, WeightedSpace
 
 SINGULARITY_GATE = 1e-10
+# one pass of the batched norm kernel takes at most this many matrix entries
+# over its stack, which bounds its temporaries on long theta grids
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,77 +64,132 @@ def _as_matrix(T) -> np.ndarray:
     return M
 
 
-def _col_formula(M, wa, to_space: WeightedSpace) -> float:
-    """Exact norm from a weighted l^1 domain: best scaled column."""
-    vals = [to_space.norm(M[:, j]) / wa[j] for j in range(M.shape[1])]
-    return float(np.max(vals))
+def _pnorms(wy: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Weighted l^p norms of nonnegative magnitudes along the last axis, one
+    exponent per leading index; zero and non-finite maxima are returned as
+    they are, as in ``magnitude_pnorm``."""
+    p = p.reshape(p.shape + (1,) * (wy.ndim - 2))
+    m = np.max(wy, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = m * np.sum((wy / m[..., None]) ** p[..., None], axis=-1) ** (1.0 / p)
+    out = np.where(p == 1, np.sum(wy, axis=-1), np.where(p == INF, m, scaled))
+    return np.where((m == 0.0) | ~np.isfinite(m), m, out)
 
 
-def _row_formula(M, from_space: WeightedSpace, wb) -> float:
-    """Exact norm into a weighted l^inf codomain: best dual-normed row."""
-    dual = from_space.dual()
-    vals = [wb[i] * dual.norm(np.conj(M[i, :])) for i in range(M.shape[0])]
-    return float(np.max(vals))
+def _col_formula(absM, wa, pb, wb) -> np.ndarray:
+    """Exact norms from weighted l^1 domains: the best scaled column."""
+    cols = np.swapaxes(wb[:, :, None] * absM, 1, 2)
+    return np.max(_pnorms(cols, pb) / wa, axis=1)
 
 
-def _spectral_formula(M, wa, wb) -> float:
-    scaled = wb[:, None] * M / wa[None, :]
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+def _row_formula(absM, pa, wa, wb) -> np.ndarray:
+    """Exact norms into weighted l^inf codomains: the best row in the dual
+    norm of the domain."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dual = np.where(pa == 1, INF, np.where(pa == INF, 1.0, pa / (pa - 1.0)))
+    return np.max(wb * _pnorms((1.0 / wa)[:, None, :] * absM, dual), axis=1)
 
 
-def _ascent_lower(M, A: WeightedSpace, B: WeightedSpace, rng=None) -> float:
-    rng = rng or np.random.default_rng(0)
-    n = M.shape[1]
-    cands = [np.eye(n, dtype=complex)[j] for j in range(n)]
-    scaled = B.weights[:, None] * M / A.weights[None, :]
+def _ascent_lower(M, pa, wa, pb, wb) -> np.ndarray:
+    """Best ratio ||Mx|| / ||x|| over the unit vectors, the top right singular
+    vector of the weight-scaled matrix, 4 random vectors from
+    ``default_rng(0)``, and two phase-aligned gradient steps from each."""
+    K, n = wa.shape
+    rng = np.random.default_rng(0)
+    rand = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     try:
-        _, _, vh = np.linalg.svd(scaled)
-        cands.append(np.conj(vh[0]) / A.weights)
-    except np.linalg.LinAlgError:
-        pass
-    cands.extend(rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n)))
-    best = 0.0
-    for x in cands:
-        nx = A.norm(x)
-        if nx == 0:
-            continue
-        ratio = B.norm(M @ x) / nx
-        best = max(best, ratio)
-        # one polishing sweep of coordinate phase alignment
-        y = M @ x
-        grad = np.conj(M.T @ (y / np.maximum(np.abs(y), 1e-300)))
-        for step in (0.5, 0.1):
-            cand = x + step * grad / max(np.linalg.norm(grad), 1e-300)
-            ncand = A.norm(cand)
-            if ncand > 0:
-                best = max(best, B.norm(M @ cand) / ncand)
-    return best
+        top = np.conj(np.linalg.svd(wb[:, :, None] * M / wa[:, None, :])[2][:, 0, :]) / wa
+    except np.linalg.LinAlgError:  # non-finite entries: a zero candidate is skipped
+        top = np.zeros((K, n), dtype=complex)
+    X = np.concatenate(
+        [np.broadcast_to(np.eye(n), (K, n, n)), top[:, None, :], np.broadcast_to(rand, (K, 4, n))],
+        axis=1,
+    )
+    Y = X @ M.T
+    grad = np.conj((Y / np.maximum(np.abs(Y), 1e-300)) @ M)
+    gnorm = np.maximum(np.linalg.norm(grad, axis=-1, keepdims=True), 1e-300)
+    P = np.concatenate([X] + [X + step * grad / gnorm for step in (0.5, 0.1)], axis=1)
+    nx = _pnorms(wa[:, None, :] * np.abs(P), pa)
+    ny = _pnorms(wb[:, None, :] * np.abs(P @ M.T), pb)
+    ok = (nx > 0) & np.tile(nx[:, : X.shape[1]] > 0, 3)  # steps only from nonzero candidates
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.max(np.where(ok, ny / nx, 0.0), axis=1)
 
 
-def _segment_upper(M, A: WeightedSpace, B: WeightedSpace) -> float:
-    """Upper bound through exactly computable anchor pairs.
+def _upper_bound(absM, pa, wa, pb, wb) -> np.ndarray:
+    """Least finite upper bound: counting-measure embeddings into the row and
+    column formulas, and where 1/pa >= 1/pb the segment bound, which writes
+    A and B as the same Calderon midpoint lam of exactly normed anchors with
+    identical weights, l^1 -> l^q0 and l^p1 -> l^inf (the norm is log-convex
+    along the segment)."""
+    m, n = absM.shape
+    u, v = 1.0 / pa, 1.0 / pb
+    seg = np.full(pa.shape, INF)
+    s = u >= v
+    us, vs = u[s], v[s]
+    lam = 1.0 - 0.5 * (us + vs)
+    with np.errstate(divide="ignore"):
+        p1 = np.where(us == vs, INF, (2.0 - us - vs) / (us - vs))
+    n_a = _col_formula(absM, wa[s], (us + vs) / (2.0 * vs), wb[s])
+    seg[s] = n_a ** (1.0 - lam) * _row_formula(absM, p1, wa[s], wb[s]) ** lam
+    emb_row = m**v * _row_formula(absM, pa, wa, wb)
+    emb_col = n ** (1.0 - u) * _col_formula(absM, wa, pb, wb)
+    uppers = np.stack([seg, emb_row, emb_col])
+    return np.min(np.where(np.isfinite(uppers), uppers, INF), axis=0)
 
-    Writes A and B as the same-parameter Calderon midpoint of anchor spaces
-    with identical weights, then uses log-convexity of the operator norm
-    along the segment; valid when 1/pa >= 1/pb.
-    """
-    u = 0.0 if A.p == INF else 1.0 / A.p
-    v = 0.0 if B.p == INF else 1.0 / B.p
-    if u < v:
-        return math.inf
-    lam = 1.0 - 0.5 * (u + v)
-    if lam <= 0.0:  # pa = pb = 1: column formula is exact anyway
-        return _col_formula(M, A.weights, B)
-    if lam >= 1.0:
-        return _row_formula(M, A, B.weights)
-    q0 = INF if v == 0.0 else (u + v) / (2.0 * v)
-    p1 = INF if u == v else (2.0 - u - v) / (u - v)
-    n_a = _col_formula(M, A.weights, WeightedSpace(q0, B.weights))
-    n_b = _row_formula(M, WeightedSpace(p1, A.weights), B.weights)
-    return n_a ** (1.0 - lam) * n_b**lam
+
+@dataclass(frozen=True)
+class OperatorNormStack:
+    """Brackets of one matrix between a stack of weighted-space pairs."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    methods: np.ndarray
+
+    def at(self, k: int) -> OperatorNormResult:
+        bracket = NormBracket(float(self.lower[k]), float(self.upper[k]))
+        return OperatorNormResult(bracket, str(self.methods[k]))
 
 
-def operator_norm(T, from_space: WeightedSpace, to_space: WeightedSpace, rng=None) -> OperatorNormResult:
+def _operator_norms(M, pa, wa, pb, wb) -> OperatorNormStack:
+    """Norms of M from l^pa[k](wa[k]) to l^pb[k](wb[k]) for every k, in passes
+    of at most _CHUNK_ENTRIES // M.size stack entries."""
+    step = max(1, _CHUNK_ENTRIES // M.size)
+    parts = [
+        _norm_pass(M, pa[s], wa[s], pb[s], wb[s])
+        for s in (slice(i, i + step) for i in range(0, max(pa.size, 1), step))
+    ]
+    return OperatorNormStack(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+def _norm_pass(M, pa, wa, pb, wb):
+    """Each entry takes the first exact formula that applies (column, row,
+    spectral); the others get the ascent lower end and the least upper end."""
+    absM = np.abs(M)
+    col = pa == 1
+    row = ~col & (pb == INF)
+    spectral = ~col & ~row & (pa == 2) & (pb == 2)
+    bracket = ~(col | row | spectral)
+    upper = np.empty(pa.shape)
+    methods = np.full(pa.shape, "iterative-bracket", dtype=object)
+    if col.any():
+        upper[col], methods[col] = _col_formula(absM, wa[col], pb[col], wb[col]), "exact-1"
+    if row.any():
+        upper[row], methods[row] = _row_formula(absM, pa[row], wa[row], wb[row]), "exact-inf"
+    if spectral.any():
+        scaled = wb[spectral][:, :, None] * M / wa[spectral][:, None, :]
+        upper[spectral] = np.linalg.svd(scaled, compute_uv=False)[:, 0]
+        methods[spectral] = "exact-2-spectral"
+    lower = upper.copy()
+    if bracket.any():
+        args = (pa[bracket], wa[bracket], pb[bracket], wb[bracket])
+        upper[bracket] = _upper_bound(absM, *args)
+        lower[bracket] = np.minimum(_ascent_lower(M, *args), upper[bracket])
+    return lower, upper, methods
+
+
+def operator_norm(T, from_space: WeightedSpace, to_space: WeightedSpace) -> OperatorNormResult:
+    """Norm of T between two weighted spaces: the batched kernel on a stack of one."""
     M = _as_matrix(T)
     if M.shape != (to_space.dim, from_space.dim):
         raise ArgumentError(
@@ -133,24 +197,8 @@ def operator_norm(T, from_space: WeightedSpace, to_space: WeightedSpace, rng=Non
             f"to dim {to_space.dim}"
         )
     A, B = from_space, to_space
-    if A.p == 1:
-        return OperatorNormResult(exact(_col_formula(M, A.weights, B)), "exact-1")
-    if B.p == INF:
-        return OperatorNormResult(exact(_row_formula(M, A, B.weights)), "exact-inf")
-    if A.p == 2 and B.p == 2:
-        return OperatorNormResult(
-            exact(_spectral_formula(M, A.weights, B.weights)), "exact-2-spectral"
-        )
-    lower = _ascent_lower(M, A, B, rng)
-    uppers = [_segment_upper(M, A, B)]
-    # counting-measure embeddings as fallbacks
-    m, n = M.shape
-    uppers.append(m ** (0.0 if B.p == INF else 1.0 / B.p) * _row_formula(M, A, B.weights))
-    uppers.append(
-        n ** (1.0 - (0.0 if A.p == INF else 1.0 / A.p)) * _col_formula(M, A.weights, B)
-    )
-    upper = min(u for u in uppers if np.isfinite(u))
-    return OperatorNormResult(NormBracket(min(lower, upper), upper), "iterative-bracket")
+    stack = _operator_norms(M, np.array([A.p]), A.weights[None], np.array([B.p]), B.weights[None])
+    return stack.at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +252,25 @@ class CoupleOperator:
         return self._cache[key]
 
 
-def couple_norm(T: CoupleOperator) -> NormBracket:
-    return T.couple_norm()
-
-
 def invert(T: CoupleOperator) -> CoupleOperator:
     """Matrix inverse as an operator from the codomain couple back to the
-    domain couple; gated on the scale-free singular-value threshold."""
-    M = T.matrix
-    if M.shape[0] != M.shape[1]:
-        raise SingularOperatorError("only square operators can be inverted")
-    sv = T.singular_values()
-    if sv[-1] <= SINGULARITY_GATE * sv[0]:
-        raise SingularOperatorError(
-            f"operator fails the invertibility gate: sigma_min/sigma_max = "
-            f"{sv[-1] / sv[0]:.3e}",
-            sigma_min=float(sv[-1]),
-            sigma_max=float(sv[0]),
-        )
-    return CoupleOperator(np.linalg.inv(M), T.codomain, T.domain)
+    domain couple; gated on the scale-free singular-value threshold.  It is
+    kept in T's cache, so callers share it and the endpoint norms cached on it.
+    """
+    key = ("inverse",)
+    if key not in T._cache:
+        if T.matrix.shape[0] != T.matrix.shape[1]:
+            raise SingularOperatorError("only square operators can be inverted")
+        if not is_invertible(T):
+            sv = T.singular_values()
+            raise SingularOperatorError(
+                f"operator fails the invertibility gate: sigma_min/sigma_max = "
+                f"{sv[-1] / sv[0]:.3e}",
+                sigma_min=float(sv[-1]),
+                sigma_max=float(sv[0]),
+            )
+        T._cache[key] = CoupleOperator(np.linalg.inv(T.matrix), T.codomain, T.domain)
+    return T._cache[key]
 
 
 def is_invertible(T: CoupleOperator) -> bool:
@@ -261,30 +309,47 @@ def gamma_lower_bound(T: CoupleOperator, from_space, to_space) -> GammaBound:
 # interpolated norms
 
 
-def interpolated_operator_norm(
-    M,
-    domain: BanachCouple,
-    codomain: BanachCouple,
-    spec: FunctorSpec,
-) -> OperatorNormResult:
-    """Norm of M between the interpolation spaces at spec.theta.
+def reciprocal_or_zero(upper: np.ndarray) -> np.ndarray:
+    """1/upper where upper > 0, else 0: a bounded norm forces the norm of the
+    inverse at least this large."""
+    with np.errstate(divide="ignore"):
+        return np.where(upper > 0, 1.0 / upper, 0.0)
 
-    Calderon: the spaces are concrete weighted lattices, so the norm is the
-    (possibly exact) weighted operator norm.  Real (theta, q): the method is
-    exact of exponent theta, giving the certified upper bound
-    N0^(1-theta) N1^theta from the endpoint norms; the reported lower end is
-    the reciprocal-free trivial bound 0 unless endpoint data pins it.
+
+def interpolated_operator_norms(
+    T: CoupleOperator, family: FunctorFamily, thetas: Sequence[float]
+) -> OperatorNormStack:
+    """Norms of T between the interpolation spaces at every theta of a grid.
+
+    Calderon: the spaces are concrete weighted lattices, so the norms are the
+    (possibly exact) weighted operator norms, evaluated for the whole grid
+    in one batched pass.  Real (theta, q): the method is exact of exponent
+    theta, giving the certified upper bound N0^(1-theta) N1^theta from the
+    endpoint norms cached on T; the reported lower end is the trivial 0.
     """
-    M = _as_matrix(M)
-    theta = spec.theta
-    if spec.kind == "calderon":
-        return operator_norm(
-            M, calderon_complex_space(domain, theta), calderon_complex_space(codomain, theta)
-        )
-    n0 = operator_norm(M, domain.space0, codomain.space0).bracket
-    n1 = operator_norm(M, domain.space1, codomain.space1).bracket
-    upper = n0.upper ** (1.0 - theta) * n1.upper**theta
-    return OperatorNormResult(NormBracket(0.0, upper), "interpolation-bracket")
+    th = np.asarray(thetas, dtype=float)
+    if th.ndim != 1:
+        raise ArgumentError("thetas must be a 1-d array")
+    if th.size:
+        for t in (th.min(), th.max()):  # the admissible parameters form an interval
+            family.at(float(t))
+    if family.kind == "calderon":
+        pa, wa = calderon_weights(T.domain, th)
+        pb, wb = calderon_weights(T.codomain, th)
+        return _operator_norms(T.matrix, pa, wa, pb, wb)
+    n0 = T.endpoint_norm(0).upper
+    n1 = T.endpoint_norm(1).upper
+    upper = n0 ** (1.0 - th) * n1**th
+    return OperatorNormStack(np.zeros(th.shape), upper, np.full(th.shape, "interpolation-bracket"))
+
+
+def interpolated_operator_norm(
+    M, domain: BanachCouple, codomain: BanachCouple, spec: FunctorSpec
+) -> OperatorNormResult:
+    """Norm of M between the interpolation spaces at spec.theta: the grid of one."""
+    T = CoupleOperator(M, domain, codomain)
+    family = FunctorFamily(spec.kind, spec.q, spec.quadrature)
+    return interpolated_operator_norms(T, family, [spec.theta]).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +408,10 @@ def resolvent_profile(
         if not is_invertible(shifted) or np.min(np.abs(eig - lam)) <= eig_tol:
             infinite[i, :] = True
             continue
-        inv = invert(shifted)
-        for k, th in enumerate(thetas):
-            spec = spec_family.at(th)
-            res = interpolated_operator_norm(inv.matrix, T.codomain, T.domain, spec)
-            fwd = interpolated_operator_norm(shifted.matrix, T.domain, T.codomain, spec)
-            lo = res.bracket.lower
-            if fwd.bracket.upper > 0:
-                lo = max(lo, 1.0 / fwd.bracket.upper)
-            lower[i, k] = lo
-            upper[i, k] = res.bracket.upper
+        res = interpolated_operator_norms(invert(shifted), spec_family, thetas)
+        fwd = interpolated_operator_norms(shifted, spec_family, thetas)
+        lower[i] = np.maximum(res.lower, reciprocal_or_zero(fwd.upper))
+        upper[i] = res.upper
     return ResolventProfile(lambdas, thetas, lower, upper, infinite, eig)
 
 

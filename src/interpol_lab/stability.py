@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -50,9 +49,10 @@ from .functors import (
 )
 from .operators import (
     CoupleOperator,
-    interpolated_operator_norm,
+    interpolated_operator_norms,
     invert,
     is_invertible,
+    reciprocal_or_zero,
 )
 from .report import CheckReport
 from .spaces import INF
@@ -79,9 +79,7 @@ class StabilityBound:
 
 
 def _inverse_upper(T: CoupleOperator, family: FunctorFamily, theta: float) -> float:
-    inv = invert(T)
-    res = interpolated_operator_norm(inv.matrix, T.codomain, T.domain, family.at(theta))
-    return res.bracket.upper
+    return float(interpolated_operator_norms(invert(T), family, [theta]).upper[0])
 
 
 def stability_radius(
@@ -118,25 +116,6 @@ def stability_radius(
 # sweeps
 
 
-def _parallel_map(fn, items):
-    """Grid points are independent; INTERPOL_LAB_THREADS caps the pool.
-
-    The reduction preserves grid order, so results do not depend on the
-    evaluation schedule.
-    """
-    raw = os.environ.get("INTERPOL_LAB_THREADS", "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 @dataclass
 class ThetaRecord:
     theta: float
@@ -171,21 +150,25 @@ class SweepReport:
 def _detect_intervals(grid: np.ndarray, flags: np.ndarray) -> List[Tuple[float, float]]:
     """Maximal runs of invertible grid points as open intervals: the left
     end is the previous failing point (or 0), the right end the next (or 1)."""
-    intervals = []
-    i = 0
+    ends = np.concatenate([[0.0], grid, [1.0]])
+    runs = np.flatnonzero(np.diff(np.concatenate([[0], np.asarray(flags, dtype=int), [0]])))
+    return [(float(ends[i]), float(ends[j + 1])) for i, j in zip(runs[::2], runs[1::2])]
+
+
+def _window_scan(grid, eps, inv_up, flags):
+    """Per base point i, over the window |theta_j - theta_i| < eps_i: the
+    largest inv_up[j] / inv_up[i] and whether some theta_j is not invertible.
+    Rows go in blocks, so memory stays linear in the grid length."""
     n = len(grid)
-    while i < n:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and flags[j + 1]:
-            j += 1
-        left = 0.0 if i == 0 else float(grid[i - 1])
-        right = 1.0 if j == n - 1 else float(grid[j + 1])
-        intervals.append((left, right))
-        i = j + 1
-    return intervals
+    worst, radius_bad = np.empty(n), np.empty(n, dtype=bool)
+    block = max(1, (1 << 20) // n)
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        window = np.abs(grid[None, :] - grid[rows, None]) < eps[rows, None]
+        ratios = inv_up[None, :] / inv_up[rows, None]
+        worst[rows] = np.max(np.where(window, ratios, -INF), axis=1)
+        radius_bad[rows] = np.any(window & ~flags, axis=1)
+    return worst, radius_bad
 
 
 def sweep(
@@ -209,73 +192,53 @@ def sweep(
         raise ArgumentError("theta grid must be strictly increasing inside (0, 1)")
 
     invertible = is_invertible(T)
-    Tinv = invert(T) if invertible else None
+    flags = np.full(grid.shape, invertible)
+    fwd = interpolated_operator_norms(T, family, grid)
+    fwd_lo, fwd_up = fwd.lower, fwd.upper
+    if invertible:
+        bwd = interpolated_operator_norms(invert(T), family, grid)
+        inv_up = bwd.upper
+        # a bounded forward norm forces the inverse norm above 1/||T||, and back
+        inv_lo = np.minimum(np.maximum(bwd.lower, reciprocal_or_zero(fwd_up)), inv_up)
+        fwd_lo = np.minimum(np.maximum(fwd_lo, reciprocal_or_zero(inv_up)), fwd_up)
+        inv_brackets = [NormBracket(lo, up) for lo, up in zip(inv_lo.tolist(), inv_up.tolist())]
+    else:
+        inv_brackets = [None] * grid.size
+    records = [
+        ThetaRecord(th, invertible, NormBracket(lo, up), inv)
+        for th, lo, up, inv in zip(grid.tolist(), fwd_lo.tolist(), fwd_up.tolist(), inv_brackets)
+    ]
 
-    def record_at(th: float) -> ThetaRecord:
-        spec = family.at(float(th))
-        fwd = interpolated_operator_norm(T.matrix, T.domain, T.codomain, spec).bracket
-        if invertible:
-            bwd = interpolated_operator_norm(
-                Tinv.matrix, T.codomain, T.domain, spec
-            ).bracket
-            # a bounded forward norm forces the inverse norm above 1/||T||
-            lo = max(bwd.lower, 1.0 / fwd.upper if fwd.upper > 0 else 0.0)
-            bwd = NormBracket(min(lo, bwd.upper), bwd.upper)
-            fwd_lo = max(fwd.lower, 1.0 / bwd.upper if bwd.upper > 0 else 0.0)
-            fwd = NormBracket(min(fwd_lo, fwd.upper), fwd.upper)
-        else:
-            bwd = None
-        return ThetaRecord(float(th), invertible, fwd, bwd)
-
-    records: List[ThetaRecord] = _parallel_map(record_at, grid)
-
-    intervals = _detect_intervals(grid, np.array([r.invertible for r in records]))
-
-    verdicts = []
+    verdicts = [CheckReport("INVERTIBLE", False, {"note": "operator fails the gate"})]
     if invertible:
         opn = T.couple_norm().upper
-        inv_up = np.array([r.inv_norm.upper for r in records])
         etas = np.array([eta_constant(float(th)) for th in grid])
         eps = 1.0 / (2.0 * E * etas * (1.0 + opn * inv_up))
-        factor2_ok = True
-        radius_ok = True
-        worst_ratio = 0.0
+        bound = 2.0 * (1.0 + slack)
+        worst, radius_bad = _window_scan(grid, eps, inv_up, flags)
+        factor2_bad = worst > bound
+        factor2_ok = not factor2_bad.any()
+        radius_ok = not radius_bad.any()
         witness = None
-        for i in range(len(grid)):
-            window = np.abs(grid - grid[i]) < eps[i]
-            ratios = inv_up[window] / inv_up[i]
-            worst_ratio = max(worst_ratio, float(np.max(ratios)))
-            if np.any(ratios > 2.0 * (1.0 + slack)):
-                factor2_ok = False
-                witness = witness or {
-                    "theta_star": float(grid[i]),
-                    "ratio": float(np.max(ratios)),
-                }
-            if not np.all(np.array([r.invertible for r in records])[window]):
-                radius_ok = False
-                witness = witness or {"theta_star": float(grid[i]), "check": "radius"}
-        verdicts.append(
+        if not (factor2_ok and radius_ok):
+            i = int(np.argmax(factor2_bad | radius_bad))
+            witness = {"theta_star": float(grid[i])}
+            witness.update({"ratio": float(worst[i])} if factor2_bad[i] else {"check": "radius"})
+        verdicts = [
             CheckReport(
                 "FACTOR2",
                 factor2_ok,
-                {"worst_ratio": worst_ratio, "bound": 2.0 * (1.0 + slack)},
-                witness if not factor2_ok else None,
-            )
-        )
-        verdicts.append(
+                {"worst_ratio": max(0.0, float(np.max(worst))), "bound": bound},
+                None if factor2_ok else witness,
+            ),
             CheckReport(
                 "RADIUS",
                 radius_ok,
                 {"min_eps": float(np.min(eps)), "max_eps": float(np.max(eps))},
-                witness if not radius_ok else None,
-            )
-        )
-    else:
-        verdicts.append(
-            CheckReport("INVERTIBLE", False, {"note": "operator fails the gate"})
-        )
-
-    return SweepReport(family.label(), grid, records, intervals, verdicts)
+                None if radius_ok else witness,
+            ),
+        ]
+    return SweepReport(family.label(), grid, records, _detect_intervals(grid, flags), verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +274,12 @@ def check_inverse_compatibility(
     max_dev = 0.0
     max_meet_ratio = 0.0
     sum_norm_bound = 0.0
-    spec0, spec1 = family.at(theta0), family.at(theta1)
-    inv0 = interpolated_operator_norm(Tinv.matrix, T.codomain, T.domain, spec0)
-    inv1 = interpolated_operator_norm(Tinv.matrix, T.codomain, T.domain, spec1)
-    c_max = max(inv0.bracket.upper, inv1.bracket.upper)
+    c_max = float(np.max(interpolated_operator_norms(Tinv, family, [theta0, theta1]).upper))
+    calderon = family.kind == "calderon"
+    if calderon:
+        X0, X1, Y0, Y1 = (
+            calderon_complex_space(C, th) for C in (T.domain, T.codomain) for th in (theta0, theta1)
+        )
     passed = True
     for _ in range(sample_count):
         y = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -322,37 +287,18 @@ def check_inverse_compatibility(
         x_mult = Tinv.matrix @ y
         dev = np.linalg.norm(x_solve - x_mult) / max(np.linalg.norm(x_solve), 1e-300)
         max_dev = max(max_dev, dev)
-        if dev > slack:
-            passed = False
-        if family.kind == "calderon":
-            X0 = calderon_complex_space(T.domain, theta0)
-            X1 = calderon_complex_space(T.domain, theta1)
-            Y0 = calderon_complex_space(T.codomain, theta0)
-            Y1 = calderon_complex_space(T.codomain, theta1)
+        if calderon:
             lhs = intersection_norm(x_mult, X0, X1)
             rhs = c_max * intersection_norm(y, Y0, Y1)
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            max_meet_ratio = max(max_meet_ratio, ratio)
-            if lhs > rhs * (1.0 + slack):
-                passed = False
-            sb = sum_norm(x_mult, X0, X1)
-            if not np.isfinite(sb.upper):
-                passed = False
-            sum_norm_bound = max(sum_norm_bound, sb.upper)
+            sb = sum_norm(x_mult, X0, X1).upper
+            passed = passed and bool(np.isfinite(sb))
+            sum_norm_bound = max(sum_norm_bound, sb)
         else:
-            q = family.q
-            lhs = max(
-                real_norm(x_mult, T.domain, th, q, rtol=1e-4).lower
-                for th in (theta0, theta1)
-            )
-            rhs = c_max * max(
-                real_norm(y, T.codomain, th, q, rtol=1e-4).upper
-                for th in (theta0, theta1)
-            )
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            max_meet_ratio = max(max_meet_ratio, ratio)
-            if lhs > rhs * (1.0 + slack):
-                passed = False
+            ths = (theta0, theta1)
+            lhs = max(real_norm(x_mult, T.domain, th, family.q, rtol=1e-4).lower for th in ths)
+            rhs = c_max * max(real_norm(y, T.codomain, th, family.q, rtol=1e-4).upper for th in ths)
+        max_meet_ratio = max(max_meet_ratio, lhs / rhs if rhs > 0 else 0.0)
+        passed = passed and not (dev > slack or lhs > rhs * (1.0 + slack))
     return CheckReport(
         "inverse-compatibility",
         passed,
@@ -378,22 +324,14 @@ def complex_to_real_transfer(
         return CheckReport(
             "complex-to-real-transfer", False, {"note": "base operator not invertible"}
         )
-    Tinv = invert(T)
-    cald = interpolated_operator_norm(
-        Tinv.matrix, T.codomain, T.domain, FunctorFamily("calderon").at(theta_star)
-    )
+    cald = _inverse_upper(T, FunctorFamily("calderon"), theta_star)
     ratios = {}
     passed = True
     for q in qs:
-        real = interpolated_operator_norm(
-            Tinv.matrix, T.codomain, T.domain, FunctorFamily("real", q).at(theta_star)
-        )
-        finite = np.isfinite(real.bracket.upper)
-        passed = passed and finite
+        real = _inverse_upper(T, FunctorFamily("real", q), theta_star)
+        passed = passed and np.isfinite(real)
         key = "inf" if q == INF else f"{q:g}"
-        ratios[key] = (
-            real.bracket.upper / cald.bracket.upper if cald.bracket.upper > 0 else math.inf
-        )
+        ratios[key] = real / cald if cald > 0 else math.inf
     return CheckReport(
         "complex-to-real-transfer",
         passed,

@@ -211,6 +211,15 @@ def test_nonfinite_matrix_entry_exits_two(tmp_path, capsys, entry):
     assert "problem.operator.matrix[1][0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", [[[1.0, 0.0], [1.0]], [[1.0, 0.0], [1.0, 0.0, 2.0]]])
+def test_ragged_matrix_exits_two(tmp_path, capsys, matrix):
+    data = identity_sweep_cfg(tmp_path / "o")
+    data["problem"]["operator"]["matrix"] = matrix
+    cfg = write_cfg(tmp_path, data)
+    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+    assert "problem.operator.matrix[1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "sizes,field",
     [({"bogus_samples": 3}, "suites.sizes.bogus_samples"),

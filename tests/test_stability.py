@@ -172,18 +172,6 @@ def test_inverse_compatibility_real_family():
     assert rep.details["max_intersection_ratio"] <= 1.0 + 1e-8
 
 
-def test_sweep_parallel_matches_serial(monkeypatch):
-    T = shear_operator()
-    grid = np.arange(0.1, 1.0, 0.1)
-    serial = sweep(T, FunctorFamily("calderon"), grid)
-    monkeypatch.setenv("INTERPOL_LAB_THREADS", "3")
-    parallel = sweep(T, FunctorFamily("calderon"), grid)
-    for a, b in zip(serial.records, parallel.records):
-        assert a.theta == b.theta
-        assert a.inv_norm.upper == b.inv_norm.upper
-    assert serial.intervals == parallel.intervals
-
-
 # ------------------------------------------------------------------ transfer
 
 
