@@ -358,7 +358,6 @@ def bspace_norm(
     P: PseudolatticeCouple,
     B: BanachCouple,
     support: Tuple[int, int] = (-4, 4),
-    tol: float = 1e-6,
 ) -> Tuple[NormBracket, LaurentElement]:
     """Certified bracket for ||x||_s with the minimising representation.
 
@@ -533,7 +532,7 @@ def kernel_distance_probe(
         jf = j_norm(f, P, B)
         f = f.scaled(1.0 / jf)
         x = evaluate(f, sv)
-        br_s, f_x = bspace_norm(x, sv, P, B, support=support, tol=1e-6)
+        br_s, f_x = bspace_norm(x, sv, P, B, support=support)
         cert = transport_representation(f, f_x, sv, ov, P, B)
         # division bound, checked on the computed quantities
         dmarg = cert.j_h - delta * j_norm(f - f_x, P, B) * (1.0 + 1e-12)

@@ -38,6 +38,7 @@ from .spaces import (
     enforce_monotone,
     as_vector,
     k_functional,
+    unit_binade,
 )
 
 
@@ -309,19 +310,6 @@ def _real_norm_once(profile: KProfile, level: int, theta, q, n0, n1):
     return _padded(lo, up)
 
 
-def _unit_binade(x):
-    """(|x| 2^-e, e) with the largest entry of |x| 2^-e in [1/2, 1).
-
-    Real norms are positively homogeneous and a power-of-two scaling is
-    exact, so they are computed at this scale, where K^q neither under- nor
-    overflows, and scaled back; vectors that differ by a power of two share
-    one K profile.
-    """
-    m = np.abs(x)
-    e = int(np.frexp(np.max(m))[1])
-    return np.ldexp(m, -e), e
-
-
 def _scaled(bracket: NormBracket, e: int) -> NormBracket:
     return NormBracket(float(np.ldexp(bracket.lower, e)), float(np.ldexp(bracket.upper, e)))
 
@@ -351,7 +339,7 @@ def real_norm(
     x = as_vector(x, couple.dim)
     if not np.any(np.abs(x) > 0):
         return NormBracket(0.0, 0.0)
-    m, e = _unit_binade(x)
+    m, e = unit_binade(np.abs(x))
     n0, n1 = couple.space0.norm(m), couple.space1.norm(m)
     profile = cfg.profile(m, couple)
     bracket = _real_norm_once(profile, 0, theta, q, n0, n1)
@@ -376,7 +364,7 @@ def windowed_real_norm(
     x = as_vector(x, couple.dim)
     if not np.any(np.abs(x) > 0):
         return NormBracket(0.0, 0.0)
-    m, e = _unit_binade(x)
+    m, e = unit_binade(np.abs(x))
     profile = cfg.profile(m, couple)
     if q == INF:
         ts, Klo, Khi = _sup_profile(profile, 0)
@@ -461,14 +449,6 @@ def gagliardo_norm(
     ev = k_functional(cfg.t_min, x, couple)
     lo = ev.value / cfg.t_min
     return NormBracket(min(lo, couple.space1.norm(x)), couple.space1.norm(x))
-
-
-def periodic_equivalence_bound(theta: float, K: float = 1.0) -> float:
-    """Diagnostic model C(theta) = K / (theta (1 - theta)) for norm equivalence
-    constants of a scale; K is a configurable constant, not derived here."""
-    if not (0.0 < theta < 1.0):
-        raise ArgumentError("theta must lie in (0, 1)")
-    return K / (theta * (1.0 - theta))
 
 
 # ---------------------------------------------------------------------------

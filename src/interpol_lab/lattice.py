@@ -21,7 +21,6 @@ theta1, which ``order_iso_sweep`` asserts per grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,18 +33,6 @@ from .spaces import INF, BanachCouple, WeightedSpace, as_vector
 from .stability import complex_to_real_transfer
 
 _REL_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class LatticeCoupleView:
-    """A couple regarded as a pair of lattices on the nonnegative orthant.
-
-    Finite-dimensional weighted lattices always have the monotone-limit
-    (Fatou) property, recorded as a static fact.
-    """
-
-    couple: BanachCouple
-    fatou: bool = True
 
 
 def calderon_product_norm(f, couple: BanachCouple, theta: float) -> float:

@@ -10,10 +10,12 @@ spaces on one index set.  The splitting functional
 
     K(t, x) = inf { ||x0||_0 + t ||x1||_1 : x0 + x1 = x }
 
-is computed with a certified optimality gap.  Exact closed forms exist for
-several exponent pairs and are used both as fast paths and as test oracles;
-the general case runs a convex minimisation over coordinatewise shrinkage
-factors with a duality-based lower bound.
+is computed by one kernel, with a certified optimality gap, for a whole
+array of t at once: closed forms for (1, 1), (inf, inf) and (1, inf), a
+safeguarded Newton solve for (2, 2) and (1, 2), and for every other pair a
+convex minimisation over coordinatewise shrinkage factors with a
+duality-based lower bound.  ``k_profile`` is that kernel over a grid;
+``k_functional`` is its one-point case and also returns the splitter.
 
 Two structural facts keep everything real and low-dimensional:
 
@@ -191,12 +193,7 @@ def space_norm(x, space: WeightedSpace) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact K paths
-
-
-def _split_from_lam(x: np.ndarray, lam: np.ndarray):
-    x0 = lam * x
-    return x0, x - x0
+# closed forms, kept for the verification suites
 
 
 def k_closed_form_l1(t: float, x, couple: BanachCouple) -> float:
@@ -251,124 +248,252 @@ def k_closed_form_linf(t: float, x, couple: BanachCouple) -> float:
     return float(np.min(b_c + t * q_c))
 
 
-def _k_l1_l1(t, x, m, w0, w1):
-    take0 = w0 <= t * w1
-    lam = np.where(take0, 1.0, 0.0)
-    x0, x1 = _split_from_lam(x, lam)
-    value = float(np.sum(m * np.minimum(w0, t * w1)))
-    return KEvaluation(t, value, (x0, x1), 0.0)
+# ---------------------------------------------------------------------------
+# the K engine: one kernel, certified brackets and splits over a t array
 
 
-def _k_linf_linf(t, x, m, w0, w1):
+def unit_binade(m) -> Tuple[np.ndarray, int]:
+    """(m 2^-e, e) with the largest entry of m 2^-e in [1/2, 1).
+
+    K and the real norms are positively homogeneous and a power-of-two
+    scaling is exact, so they are computed at this scale, where sums of
+    squares and K^q neither under- nor overflow, and scaled back bit for
+    bit; vectors that differ by a power of two share one K profile.
+    """
+    e = int(np.frexp(np.max(m))[1])
+    return np.ldexp(m, -e), e
+
+
+def _shares(num, den):
+    """num / den where den > 0, else 0: shrinkage factors of a split."""
+    pos = den > 0
+    return np.where(pos, num / np.where(pos, den, 1.0), 0.0)
+
+
+def _k_kernel(m, couple: BanachCouple, ts: np.ndarray, tol: float):
+    """Certified (lo, hi, lam) of K(t, m) for every t of a positive array.
+
+    ``m`` is |x|; row i of ``lam`` (T x d) holds the shrinkage factors of a
+    split x0 = lam x, x1 = x - x0 whose objective at ts[i] is hi[i] up to
+    round-off.  The only dispatch on (p0, p1) lives here: closed forms for
+    (1, 1), (inf, inf) and (1, inf), safeguarded Newton for (2, 2) and
+    (1, 2), and the general solvers otherwise; (inf, p) and (2, 1) are
+    t-swapped onto (p, inf) and (1, 2) first.
+    """
+    T, d = ts.size, m.size
+    if not np.any(m > 0):
+        return np.zeros(T), np.zeros(T), np.zeros((T, d))
+    s0, s1 = couple.space0, couple.space1
+    if s0.equals(s1):
+        lo = np.minimum(1.0, ts) * magnitude_pnorm(m, s0.weights, s0.p)
+        return lo, lo, (ts[:, None] > 1.0) * np.ones(d)
+    (w0, p0), (w1, p1), t_in = (s0.weights, s0.p), (s1.weights, s1.p), ts
+    # K(t, x; X0, X1) = t K(1/t, x; X1, X0) with the two parts exchanged
+    swap = (p0 == INF and p1 != INF) or (p0, p1) == (2, 1)
+    if swap:
+        (w0, p0), (w1, p1), ts = (w1, p1), (w0, p0), 1.0 / ts
+    path = _K_PATHS.get((p0, p1))
+    if path is not None:
+        mu, e = unit_binade(m)
+        lo, hi, lam = path(mu, w0, w1, ts)
+        lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
+    else:
+        # unscaled on purpose: rescaling |x| changes which evaluations meet
+        # the gap test tol * max(1, value) and so which raise PrecisionError
+        lo, hi, lam = np.empty(T), np.empty(T), np.empty((T, d))
+        for i, t in enumerate(ts):
+            if p1 == INF:
+                lo[i], hi[i], lam[i] = _k_any_linf(float(t), m, w0, p0, w1)
+            else:
+                lo[i], hi[i], lam[i] = _k_general(float(t), m, w0, p0, w1, p1, tol)
+    if swap:
+        return t_in * lo, t_in * hi, 1.0 - lam
+    return lo, hi, lam
+
+
+def _k_l1_l1(m, w0, w1, ts):
+    tw1 = ts[:, None] * w1[None, :]
+    vals = np.sum(m[None, :] * np.minimum(w0[None, :], tw1), axis=1)
+    return vals, vals, (w0[None, :] <= tw1) * 1.0
+
+
+def _k_linf_linf(m, w0, w1, ts):
     b_c, q_c = _linf_candidates(m, w0, w1)
-    vals = b_c + t * q_c
-    i = int(np.argmin(vals))
-    b = b_c[i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(m > 0, np.minimum(1.0, b / (w0 * np.where(m > 0, m, 1.0))), 0.0)
-    x0, x1 = _split_from_lam(x, lam)
-    return KEvaluation(t, float(vals[i]), (x0, x1), 0.0)
+    vals = b_c[None, :] + ts[:, None] * q_c[None, :]
+    best = np.argmin(vals, axis=1)
+    vals = vals[np.arange(ts.size), best]
+    lam = np.minimum(1.0, _shares(b_c[best][:, None], (w0 * m)[None, :]))
+    return vals, vals, lam
 
 
-def _k_l2_l2_scalar(t, x, m, w0, w1):
-    n1 = magnitude_pnorm(m, w1, 2)
-    n0 = magnitude_pnorm(m, w0, 2)
-    # all mass on the t-side iff the slope condition at u = 0 holds
-    if t * magnitude_pnorm(m, w1 * w1 / w0, 2) <= n1 * (1 + 1e-15):
-        return KEvaluation(t, t * n1, (np.zeros_like(x), x), 0.0)
-    if magnitude_pnorm(m, w0 * w0 / w1, 2) <= t * n0 * (1 + 1e-15):
-        return KEvaluation(t, n0, (x, np.zeros_like(x)), 0.0)
-
-    w0sq, w1sq = w0 * w0, w1 * w1
-
-    def parts_of(rho):
-        den = w0sq + t * rho * w1sq
-        # complementary part computed from its own formula: no cancellation
-        return m * (t * rho * w1sq) / den, m * w0sq / den
-
-    def psi(logrho):
-        rho = math.exp(logrho)
-        u, v = parts_of(rho)
-        a = magnitude_pnorm(u, w0, 2)
-        b = magnitude_pnorm(v, w1, 2)
-        return a / max(b, _EPS) - rho
-
-    lo, hi = -80.0, 80.0
-    flo = psi(lo)
-    fhi = psi(hi)
-    if flo < 0 or fhi > 0:  # numerically boundary-like; pick better endpoint
-        cands = [
-            KEvaluation(t, t * n1, (np.zeros_like(x), x), 0.0),
-            KEvaluation(t, n0, (x, np.zeros_like(x)), 0.0),
-        ]
-        best = min(cands, key=lambda e: e.value)
-        return best
-    r = optimize.brentq(psi, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    u, v = parts_of(math.exp(r))
-    a = magnitude_pnorm(u, w0, 2)
-    b = magnitude_pnorm(v, w1, 2)
-    upper = a + t * b
-    nu = w0sq * u / max(a, _EPS)
-    scale = max(1.0, magnitude_pnorm(nu, 1.0 / w1, 2) / t)
-    lower = min(float(np.dot(m, nu)) / scale, upper)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(m > 0, u / np.where(m > 0, m, 1.0), 0.0)
-    x0, x1 = _split_from_lam(x, lam)
-    return KEvaluation(t, lower, (x0, x1), upper - lower)
-
-
-def _k_l1_linf_scalar(t, x, m, w0, w1):
-    # budget u on the sup-side; remaining l1 cost is piecewise linear in u
+def _k_l1_linf(m, w0, w1, ts):
+    # budget u on the sup-side; the remaining l1 cost is piecewise linear in u
     z = m * w1
     cands = np.unique(np.concatenate([[0.0], z[z > 0]]))
-    costs = np.array(
-        [np.sum(w0 * np.maximum(m - u / w1, 0.0)) + t * u for u in cands]
-    )
-    i = int(np.argmin(costs))
-    u = cands[i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac1 = np.where(m > 0, np.minimum(1.0, u / (w1 * np.where(m > 0, m, 1.0))), 0.0)
-    x1 = frac1 * x
-    x0 = x - x1
-    return KEvaluation(t, float(costs[i]), (x0, x1), 0.0)
+    base = np.array([np.sum(w0 * np.maximum(m - u / w1, 0.0)) for u in cands])
+    vals = base[None, :] + ts[:, None] * cands[None, :]
+    best = np.argmin(vals, axis=1)
+    vals = vals[np.arange(ts.size), best]
+    lam = 1.0 - np.minimum(1.0, _shares(cands[best][:, None], z[None, :]))
+    return vals, vals, lam
 
 
-def _k_l1_l2_scalar(t, x, m, w0, w1):
-    # dual waterfilling: z = min(w0, lam * w1^2 m), ||z/w1||_2 = t
-    if magnitude_pnorm(np.ones_like(m), w0 / w1, 2) <= t:
-        value = float(np.sum(m * w0))
-        return KEvaluation(t, value, (x, np.zeros_like(x)), 0.0)
-    sup = m > 0
-    lam_hi = 2.0 * float(np.max(w0[sup] / (w1[sup] ** 2 * m[sup]))) + 1.0
+def _k_l2_l2(m, w0, w1, ts):
+    n0 = magnitude_pnorm(m, w0, 2)
+    n1 = magnitude_pnorm(m, w1, 2)
+    g0 = magnitude_pnorm(m, w1 * w1 / w0, 2)
+    g1 = magnitude_pnorm(m, w0 * w0 / w1, 2)
+    T = ts.size
+    lo = np.empty(T)
+    hi = np.empty(T)
+    lam = np.zeros((T, m.size))
+    # all mass on the t-side iff the slope condition at u = 0 holds
+    zero_side = ts * g0 <= n1
+    full_side = g1 <= ts * n0
+    lo[zero_side] = hi[zero_side] = (ts * n1)[zero_side]
+    lo[full_side] = hi[full_side] = n0
+    lam[full_side] = 1.0
+    interior = ~(zero_side | full_side)
+    if np.any(interior):
+        ti = ts[interior]
+        w0sq, w1sq = w0 * w0, w1 * w1
+        kappa = np.exp(_l2_l2_log_kappa(m, w0sq, w1sq, ti))
+        den = w0sq[None, :] + kappa[:, None] * w1sq[None, :]
+        # complementary part from its own formula: no cancellation
+        u = m[None, :] * (kappa[:, None] * w1sq[None, :]) / den
+        v = m[None, :] * w0sq[None, :] / den
+        A = np.sqrt(np.sum((w0[None, :] * u) ** 2, axis=1))
+        B = np.sqrt(np.sum((w1[None, :] * v) ** 2, axis=1))
+        upper = A + ti * B
+        nu = w0sq[None, :] * u / np.maximum(A, _EPS)[:, None]
+        d1 = np.sqrt(np.sum((nu / w1[None, :]) ** 2, axis=1))
+        scale = np.maximum(1.0, d1 / ti)
+        lower = np.minimum(np.sum(m[None, :] * nu, axis=1) / scale, upper)
+        lo[interior] = lower
+        hi[interior] = upper
+        lam[interior] = _shares(u, m[None, :])
+    return lo, hi, lam
 
-    def g(lam):
-        z = np.minimum(w0, lam * w1 * w1 * m)
-        return magnitude_pnorm(z / (w1 * w1), w1, 2) - t
 
-    lo, hi = 0.0, lam_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    z = np.minimum(w0, lam * w1 * w1 * m)
-    scale = max(
-        float(np.max(z / w0)) if z.size else 0.0,
-        magnitude_pnorm(z / (w1 * w1), w1, 2) / t,
-    )
-    lower = float(np.dot(m, z)) / max(scale, _EPS)
-    active = lam * w1 * w1 * m >= w0
-    v = np.where(active, w0 / np.maximum(lam * w1 * w1, _EPS), m)
-    v = np.minimum(v, m)
-    u = m - v
-    upper = float(np.sum(w0 * u)) + t * magnitude_pnorm(v, w1, 2)
-    lower = min(lower, upper)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam0 = np.where(m > 0, u / np.where(m > 0, m, 1.0), 0.0)
-    x0, x1 = _split_from_lam(x, lam0)
-    return KEvaluation(t, lower, (x0, x1), upper - lower)
+_NEWTON_MAX_STEPS = 100
+
+
+def _l2_l2_log_kappa(m, w0sq, w1sq, ts):
+    """log kappa(t) of the optimal (2, 2) split, by safeguarded Newton.
+
+    The split u = m kappa w1^2 / (w0^2 + kappa w1^2) is optimal iff
+        g(kappa) = sum_i m_i^2 w1_i^2 (t^2 r_i - 1) h_i^2 = 0,
+        h_i = (1 + kappa / t^2) / (1 + kappa r_i),   r_i = w1_i^2 / w0_i^2,
+    and g is strictly decreasing with g(0+) > 0 > g(inf) on the interior t
+    range, so the root is unique.  Newton runs in s = log kappa inside the
+    bracket log t +- 80; a step leaving the bracket is replaced by its
+    midpoint.  Each t stops on its own once the step or the bracket falls
+    below 1e-12, so the result at one t does not depend on the other ts.
+    Only the accuracy of the split depends on this root, not the soundness
+    of the dual lower end built from it.
+    """
+    r = w1sq / w0sq
+    c = (m * m * w1sq)[None, :]
+    s = np.log(ts)
+    a, b = s - 80.0, s + 80.0
+    act = np.arange(ts.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if act.size == 0:
+            break
+        sa, ta = s[act], ts[act]
+        kappa = np.exp(sa)[:, None]
+        tau = (1.0 / (ta * ta))[:, None]
+        inv = 1.0 / (1.0 + kappa * r[None, :])
+        h = (1.0 + kappa * tau) * inv
+        cr = c * (r[None, :] / tau - 1.0)
+        g = np.sum(cr * h * h, axis=1)
+        dg = 2.0 * np.sum(cr * h * (tau - r[None, :]) * inv * inv, axis=1) * kappa[:, 0]
+        aa = np.where(g > 0, sa, a[act])
+        bb = np.where(g > 0, b[act], sa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -g / dg
+        nxt = sa + step
+        tol = 1e-12 * np.maximum(1.0, np.abs(sa))
+        small = np.abs(step) <= tol
+        inside = (nxt > aa) & (nxt < bb)
+        nxt = np.where(small, np.clip(nxt, aa, bb), np.where(inside, nxt, 0.5 * (aa + bb)))
+        done = (g == 0) | small | (bb - aa <= tol)
+        s[act] = np.where(g == 0, sa, nxt)
+        a[act], b[act] = aa, bb
+        act = act[~done]
+    return s
+
+
+def _k_l1_l2(m, w0, w1, ts):
+    # dual waterfilling: z = min(w0, lam w1^2 m) with ||z/w1||_2 = t
+    T = ts.size
+    lo = np.empty(T)
+    hi = np.empty(T)
+    lam0 = np.zeros((T, m.size))
+    full = magnitude_pnorm(np.ones_like(m), w0 / w1, 2) <= ts
+    lo[full] = hi[full] = float(np.sum(m * w0))
+    lam0[full] = 1.0
+    interior = ~full
+    if np.any(interior):
+        ti = ts[interior]
+        sup = m > 0
+        lam_hi = 2.0 * float(np.max(w0[sup] / (w1[sup] ** 2 * m[sup]))) + 1.0
+        w1sq = w1 * w1
+        lam = _l1_l2_lambda(w0 / w1, w1 * m, ti, lam_hi)
+        z = np.minimum(w0[None, :], lam[:, None] * (w1sq * m)[None, :])
+        d0 = np.max(z / w0[None, :], axis=1)
+        d1 = np.sqrt(np.sum((z / w1[None, :]) ** 2, axis=1)) / ti
+        scale = np.maximum(np.maximum(d0, d1), _EPS)
+        lower = np.sum(m[None, :] * z, axis=1) / scale
+        active = lam[:, None] * (w1sq * m)[None, :] >= w0[None, :]
+        v = np.where(
+            active,
+            w0[None, :] / np.maximum(lam[:, None] * w1sq[None, :], _EPS),
+            m[None, :],
+        )
+        v = np.minimum(v, m[None, :])
+        u = m[None, :] - v
+        upper = np.sum(w0[None, :] * u, axis=1) + ti * np.sqrt(
+            np.sum((w1[None, :] * v) ** 2, axis=1)
+        )
+        lo[interior] = np.minimum(lower, upper)
+        hi[interior] = upper
+        lam0[interior] = _shares(u, m[None, :])
+    return lo, hi, lam0
+
+
+
+def _l1_l2_lambda(a, b, ts, lam_hi):
+    """Dual waterfilling level of the (1, 2) pair: ||min(a, lam b)||_2 = t.
+
+    In mu = lam^2 the map H(mu) = sum_i min(a_i^2, mu b_i^2) - t^2 is
+    concave, nondecreasing and piecewise linear, so Newton from mu = 0
+    never overshoots and lands on the root of the piece that holds it: each
+    step enters a new piece, and d + 2 steps reach the root exactly.  Where
+    H stays negative (every coordinate saturates first) the level is capped
+    at ``lam_hi``, which saturates them all.
+    """
+    a2, b2 = (a * a)[None, :], (b * b)[None, :]
+    t2 = ts * ts
+    mu_hi = lam_hi * lam_hi
+    mu = np.zeros(ts.size)
+    for _ in range(a.size + 2):
+        sat = mu[:, None] * b2 >= a2
+        S = np.sum(np.where(sat, a2, 0.0), axis=1)
+        slope = np.sum(np.where(sat, 0.0, b2), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(slope > 0, (t2 - S) / slope, mu_hi)
+        mu = np.clip(nxt, 0.0, mu_hi)
+    return np.sqrt(mu)
+
+
+_K_PATHS = {
+    (1, 1): _k_l1_l1,
+    (INF, INF): _k_linf_linf,
+    (1, INF): _k_l1_linf,
+    (2, 2): _k_l2_l2,
+    (1, 2): _k_l1_l2,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +531,9 @@ def _dual_lower(m, w0, p0, w1, p1, t, candidates):
     return best
 
 
-def _k_any_linf_scalar(t, x, m, w0, p0, w1, tol):
-    """K for (p0, inf): one-dimensional convex search over the sup budget u.
+def _k_any_linf(t, m, w0, p0, w1):
+    """(lower, upper, lam) of K for (p0, inf): a convex search over the sup
+    budget u.
 
     Given u = ||x1||_{inf,w1}, the best remainder has magnitudes
     (m - u/w1)_+, so K(t) = min_u N0((m - u/w1)_+) + t u.  The KKT dual at
@@ -435,22 +561,16 @@ def _k_any_linf_scalar(t, x, m, w0, p0, w1, tol):
     u = best_u
     y = np.maximum(m - u / w1, 0.0)
     z0 = _subgradient(y, w0, p0)
-    cands = [z0]
-    if z0 is None:
-        cands = [t * _subgradient(m, w1, INF)] if np.any(m > 0) else []
+    cands = [z0] if z0 is not None else [t * _subgradient(m, w1, INF)]
     lower = _dual_lower(m, w0, p0, w1, INF, t, cands)
     lower = min(lower, best_val)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac1 = np.where(m > 0, np.minimum(1.0, u / (w1 * np.where(m > 0, m, 1.0))), 0.0)
-    x1 = frac1 * x
-    return KEvaluation(t, lower, (x - x1, x1), best_val - lower)
+    return lower, best_val, 1.0 - np.minimum(1.0, _shares(u, w1 * m))
 
 
-def _k_general_scalar(t, x, m, w0, p0, w1, p1, tol):
+def _k_general(t, m, w0, p0, w1, p1, tol):
+    """(lower, upper, lam) of K by minimisation over the shrinkage factors;
+    raises PrecisionError unless the dual gap is below tol * max(1, upper)."""
     d = m.size
-    sup = m > 0
-    if not np.any(sup):
-        return KEvaluation(t, 0.0, (np.zeros_like(x), np.zeros_like(x)), 0.0)
 
     def objective(lam):
         lam = np.clip(lam, 0.0, 1.0)
@@ -518,11 +638,9 @@ def _k_general_scalar(t, x, m, w0, p0, w1, p1, tol):
         lower = min(lower, best_val)
         gap = best_val - lower
         if gap <= tol * max(1.0, best_val):
-            x0, x1 = _split_from_lam(x, best_lam)
-            return KEvaluation(t, lower, (x0, x1), gap)
+            return lower, best_val, best_lam
         starts = [best_lam] + [rng.uniform(0, 1, d) for _ in range(4)]
 
-    x0, x1 = _split_from_lam(x, best_lam)
     raise PrecisionError(
         f"splitting functional gap {gap:.3e} above tolerance {tol:.3e}",
         bracket=(lower, best_val),
@@ -592,268 +710,48 @@ def _k_epigraph_solve(t, m, w0, p0, w1, p1, lam0) -> np.ndarray:
     return np.clip(res.x[:d], 0.0, 1.0)
 
 
-def k_functional(t: float, x, couple: BanachCouple, tol: float = 1e-8) -> KEvaluation:
-    """Certified evaluation of K(t, x) over the couple.
+# ---------------------------------------------------------------------------
+# the public faces of the kernel
 
-    Exact paths (gap 0): equal endpoint spaces, both exponents 1, both inf,
-    and the (1, inf) pair including its t-swap.  The (2, 2) and (1, 2) pairs
-    solve a one-parameter optimality equation to roundoff with a duality
-    certificate.  Everything else runs the general shrinkage minimisation
-    and must certify a gap below ``tol``.
+
+def k_functional(t: float, x, couple: BanachCouple, tol: float = 1e-8) -> KEvaluation:
+    """Certified evaluation of K(t, x) over the couple, with its splitter.
+
+    The one-point case of the K kernel that :func:`k_profile` runs over a
+    grid.  Gap 0 on the exact paths (zero vector, equal endpoint spaces,
+    (1, 1), (inf, inf), (1, inf) and (inf, 1)); round-off for the Newton
+    solves of (2, 2), (1, 2) and (2, 1); any other pair runs the general
+    shrinkage minimisation and must certify a gap below ``tol`` (else
+    :class:`PrecisionError` with the best bracket).  The splitter is
+    (lam x, x - lam x) for the kernel's shrinkage factors lam.
     """
     if t <= 0:
         raise ArgumentError("t must be positive")
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     x = as_vector(x, couple.dim)
-    s0, s1 = couple.space0, couple.space1
-    m = np.abs(x)
-    if not np.any(m > 0):
-        z = np.zeros_like(x)
-        return KEvaluation(t, 0.0, (z, z), 0.0)
-    if s0.equals(s1):
-        n = s0.norm(x)
-        if t <= 1.0:
-            return KEvaluation(t, t * n, (np.zeros_like(x), x), 0.0)
-        return KEvaluation(t, n, (x, np.zeros_like(x)), 0.0)
-
-    w0, w1, p0, p1 = s0.weights, s1.weights, s0.p, s1.p
-    if p0 == 1 and p1 == 1:
-        return _k_l1_l1(t, x, m, w0, w1)
-    if p0 == INF and p1 == INF:
-        return _k_linf_linf(t, x, m, w0, w1)
-    if p0 == 2 and p1 == 2:
-        return _k_l2_l2_scalar(t, x, m, w0, w1)
-    if p0 == 1 and p1 == INF:
-        return _k_l1_linf_scalar(t, x, m, w0, w1)
-    if p0 == 1 and p1 == 2:
-        return _k_l1_l2_scalar(t, x, m, w0, w1)
-    if p1 == INF:
-        return _k_any_linf_scalar(t, x, m, w0, p0, w1, tol)
-    if (p0, p1) in ((INF, 1), (2, 1)) or p0 == INF:
-        ev = k_functional(1.0 / t, x, couple.reversed(), tol)
-        return KEvaluation(
-            t, t * ev.value, (ev.splitter[1], ev.splitter[0]), t * ev.gap
-        )
-    return _k_general_scalar(t, x, m, w0, p0, w1, p1, tol)
-
-
-# ---------------------------------------------------------------------------
-# vectorised K profiles over a grid of t values (used by quadrature)
+    lo, hi, lam = _k_kernel(np.abs(x), couple, np.array([t], dtype=float), tol)
+    x0 = lam[0] * x
+    return KEvaluation(t, float(lo[0]), (x0, x - x0), float(hi[0] - lo[0]))
 
 
 def k_profile(x, couple: BanachCouple, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Certified (lower, upper) arrays for K(t, x) over a positive grid.
 
-    Uses the same exact paths as :func:`k_functional`, vectorised over t;
-    pairs without a vectorised path fall back to per-point evaluation.
-    The returned upper is additionally clipped by min(||x||_0, t ||x||_1).
+    The K kernel of :func:`k_functional` over the whole grid at once, with
+    ``tol`` = 1e-9 for the general pairs and without the splitters; each t
+    is bracketed independently of the rest of the grid.  The upper end is
+    additionally clipped by min(||x||_0, t ||x||_1).
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ArgumentError("t grid must be positive")
-    x = as_vector(x, couple.dim)
+    m = np.abs(as_vector(x, couple.dim))
+    lo, hi, _ = _k_kernel(m, couple, ts, 1e-9)
     s0, s1 = couple.space0, couple.space1
-    m = np.abs(x)
-    if not np.any(m > 0):
-        z = np.zeros_like(ts)
-        return z, z.copy()
-
-    w0, w1, p0, p1 = s0.weights, s1.weights, s0.p, s1.p
-    lo = hi = None
-    if s0.equals(s1):
-        n = s0.norm(x)
-        lo = np.minimum(1.0, ts) * n
-        hi = lo.copy()
-    elif p0 == 1 and p1 == 1:
-        vals = np.sum(
-            m[None, :] * np.minimum(w0[None, :], ts[:, None] * w1[None, :]), axis=1
-        )
-        lo, hi = vals, vals.copy()
-    elif p0 == INF and p1 == INF:
-        b_c, q_c = _linf_candidates(m, w0, w1)
-        vals = np.min(b_c[None, :] + ts[:, None] * q_c[None, :], axis=1)
-        lo, hi = vals, vals.copy()
-    elif p0 == 1 and p1 == INF:
-        z = m * w1
-        cands = np.unique(np.concatenate([[0.0], z[z > 0]]))
-        base = np.array([np.sum(w0 * np.maximum(m - u / w1, 0.0)) for u in cands])
-        vals = np.min(base[None, :] + ts[:, None] * cands[None, :], axis=1)
-        lo, hi = vals, vals.copy()
-    elif p0 == INF and p1 == 1:
-        rlo, rhi = k_profile(x, couple.reversed(), 1.0 / ts)
-        lo, hi = ts * rlo, ts * rhi
-    elif p0 == 2 and p1 == 2:
-        lo, hi = _k_profile_l2_l2(m, w0, w1, ts)
-    elif p0 == 1 and p1 == 2:
-        lo, hi = _k_profile_l1_l2(m, w0, w1, ts)
-    elif p0 == 2 and p1 == 1:
-        rlo, rhi = _k_profile_l1_l2(m, w1, w0, 1.0 / ts)
-        lo, hi = ts * rlo, ts * rhi
-    else:
-        los, his = [], []
-        for t in ts:
-            ev = k_functional(float(t), x, couple, tol=1e-9)
-            los.append(ev.value)
-            his.append(ev.upper)
-        lo, hi = np.array(los), np.array(his)
-
-    cap = np.minimum(s0.norm(x), ts * s1.norm(x))
+    cap = np.minimum(magnitude_pnorm(m, s0.weights, s0.p), ts * magnitude_pnorm(m, s1.weights, s1.p))
     hi = np.minimum(hi, cap)
-    lo = np.minimum(lo, hi)
-    return lo, hi
-
-
-def _binary_exponent(m) -> int:
-    """e with max(m) in [2^(e-1), 2^e).  K is positively homogeneous and a
-    power-of-two rescaling is exact, so the l2 profile paths run on
-    m 2^-e, where their unscaled sums of squares neither under- nor
-    overflow, and scale the brackets back bit for bit."""
-    return int(np.frexp(np.max(m))[1])
-
-
-def _k_profile_l2_l2(m, w0, w1, ts):
-    e = _binary_exponent(m)
-    m = np.ldexp(m, -e)
-    n0 = magnitude_pnorm(m, w0, 2)
-    n1 = magnitude_pnorm(m, w1, 2)
-    g0 = magnitude_pnorm(m, w1 * w1 / w0, 2)
-    g1 = magnitude_pnorm(m, w0 * w0 / w1, 2)
-    T = ts.size
-    lo = np.empty(T)
-    hi = np.empty(T)
-    zero_side = ts * g0 <= n1
-    full_side = g1 <= ts * n0
-    lo[zero_side] = hi[zero_side] = (ts * n1)[zero_side]
-    lo[full_side] = hi[full_side] = n0
-    interior = ~(zero_side | full_side)
-    if np.any(interior):
-        ti = ts[interior]
-        w0sq, w1sq = w0 * w0, w1 * w1
-        kappa = np.exp(_l2_l2_log_kappa(m, w0sq, w1sq, ti))
-        den = w0sq[None, :] + kappa[:, None] * w1sq[None, :]
-        u = m[None, :] * (kappa[:, None] * w1sq[None, :]) / den
-        v = m[None, :] * w0sq[None, :] / den
-        A = np.sqrt(np.sum((w0[None, :] * u) ** 2, axis=1))
-        B = np.sqrt(np.sum((w1[None, :] * v) ** 2, axis=1))
-        upper = A + ti * B
-        nu = w0sq[None, :] * u / np.maximum(A, _EPS)[:, None]
-        d1 = np.sqrt(np.sum((nu / w1[None, :]) ** 2, axis=1))
-        scale = np.maximum(1.0, d1 / ti)
-        lower = np.minimum(np.sum(m[None, :] * nu, axis=1) / scale, upper)
-        lo[interior] = lower
-        hi[interior] = upper
-    return np.ldexp(lo, e), np.ldexp(hi, e)
-
-
-_NEWTON_MAX_STEPS = 100
-
-
-def _l2_l2_log_kappa(m, w0sq, w1sq, ts):
-    """log kappa(t) of the optimal (2, 2) split, by safeguarded Newton.
-
-    The split u = m kappa w1^2 / (w0^2 + kappa w1^2) is optimal iff
-        g(kappa) = sum_i m_i^2 w1_i^2 (t^2 r_i - 1) h_i^2 = 0,
-        h_i = (1 + kappa / t^2) / (1 + kappa r_i),   r_i = w1_i^2 / w0_i^2,
-    and g is strictly decreasing with g(0+) > 0 > g(inf) on the interior t
-    range, so the root is unique.  Newton runs in s = log kappa inside the
-    bracket log t +- 80; a step leaving the bracket is replaced by its
-    midpoint.  Each t stops on its own once the step or the bracket falls
-    below 1e-12, so the result at one t does not depend on the other ts.
-    Only the accuracy of the split depends on this root, not the soundness
-    of the dual lower end built from it.
-    """
-    r = w1sq / w0sq
-    c = (m * m * w1sq)[None, :]
-    s = np.log(ts)
-    a, b = s - 80.0, s + 80.0
-    act = np.arange(ts.size)
-    for _ in range(_NEWTON_MAX_STEPS):
-        if act.size == 0:
-            break
-        sa, ta = s[act], ts[act]
-        kappa = np.exp(sa)[:, None]
-        tau = (1.0 / (ta * ta))[:, None]
-        inv = 1.0 / (1.0 + kappa * r[None, :])
-        h = (1.0 + kappa * tau) * inv
-        cr = c * (r[None, :] / tau - 1.0)
-        g = np.sum(cr * h * h, axis=1)
-        dg = 2.0 * np.sum(cr * h * (tau - r[None, :]) * inv * inv, axis=1) * kappa[:, 0]
-        aa = np.where(g > 0, sa, a[act])
-        bb = np.where(g > 0, b[act], sa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -g / dg
-        nxt = sa + step
-        tol = 1e-12 * np.maximum(1.0, np.abs(sa))
-        small = np.abs(step) <= tol
-        inside = (nxt > aa) & (nxt < bb)
-        nxt = np.where(small, np.clip(nxt, aa, bb), np.where(inside, nxt, 0.5 * (aa + bb)))
-        done = (g == 0) | small | (bb - aa <= tol)
-        s[act] = np.where(g == 0, sa, nxt)
-        a[act], b[act] = aa, bb
-        act = act[~done]
-    return s
-
-
-def _k_profile_l1_l2(m, w0, w1, ts):
-    e = _binary_exponent(m)
-    m = np.ldexp(m, -e)
-    T = ts.size
-    lo = np.empty(T)
-    hi = np.empty(T)
-    full = magnitude_pnorm(np.ones_like(m), w0 / w1, 2) <= ts
-    l1_all = float(np.sum(m * w0))
-    lo[full] = hi[full] = l1_all
-    interior = ~full
-    if np.any(interior):
-        ti = ts[interior]
-        sup = m > 0
-        lam_hi = 2.0 * float(np.max(w0[sup] / (w1[sup] ** 2 * m[sup]))) + 1.0
-        w1sq = w1 * w1
-        lam = _l1_l2_lambda(w0 / w1, w1 * m, ti, lam_hi)
-        z = np.minimum(w0[None, :], lam[:, None] * (w1sq * m)[None, :])
-        d0 = np.max(z / w0[None, :], axis=1)
-        d1 = np.sqrt(np.sum((z / w1[None, :]) ** 2, axis=1)) / ti
-        scale = np.maximum(np.maximum(d0, d1), _EPS)
-        lower = np.sum(m[None, :] * z, axis=1) / scale
-        active = lam[:, None] * (w1sq * m)[None, :] >= w0[None, :]
-        v = np.where(
-            active,
-            w0[None, :] / np.maximum(lam[:, None] * w1sq[None, :], _EPS),
-            m[None, :],
-        )
-        v = np.minimum(v, m[None, :])
-        u = m[None, :] - v
-        upper = np.sum(w0[None, :] * u, axis=1) + ti * np.sqrt(
-            np.sum((w1[None, :] * v) ** 2, axis=1)
-        )
-        lo[interior] = np.minimum(lower, upper)
-        hi[interior] = upper
-    return np.ldexp(lo, e), np.ldexp(hi, e)
-
-
-def _l1_l2_lambda(a, b, ts, lam_hi):
-    """Dual waterfilling level of the (1, 2) pair: ||min(a, lam b)||_2 = t.
-
-    In mu = lam^2 the map H(mu) = sum_i min(a_i^2, mu b_i^2) - t^2 is
-    concave, nondecreasing and piecewise linear, so Newton from mu = 0
-    never overshoots and lands on the root of the piece that holds it: each
-    step enters a new piece, and d + 2 steps reach the root exactly.  Where
-    H stays negative (every coordinate saturates first) the level is capped
-    at ``lam_hi``, which saturates them all.
-    """
-    a2, b2 = (a * a)[None, :], (b * b)[None, :]
-    t2 = ts * ts
-    mu_hi = lam_hi * lam_hi
-    mu = np.zeros(ts.size)
-    for _ in range(a.size + 2):
-        sat = mu[:, None] * b2 >= a2
-        S = np.sum(np.where(sat, a2, 0.0), axis=1)
-        slope = np.sum(np.where(sat, 0.0, b2), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = np.where(slope > 0, (t2 - S) / slope, mu_hi)
-        mu = np.clip(nxt, 0.0, mu_hi)
-    return np.sqrt(mu)
+    return np.minimum(lo, hi), hi
 
 
 # ---------------------------------------------------------------------------

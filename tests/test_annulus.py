@@ -237,7 +237,7 @@ def test_bspace_norm_brute_force_dim1():
     P = PseudolatticeCouple(INF, INF)
     s = 1.6 + 0.2j
     x = np.array([1.0])
-    br, rep = bspace_norm(x, s, P, B, support=(-1, 1), tol=1e-8)
+    br, rep = bspace_norm(x, s, P, B, support=(-1, 1))
 
     def jn(bm1, b1):
         b0 = x[0] - bm1 / s - b1 * s

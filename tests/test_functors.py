@@ -13,7 +13,6 @@ from interpol_lab.functors import (
     delta_condition_check,
     gagliardo_norm,
     intersection_norm,
-    periodic_equivalence_bound,
     real_norm,
     reiteration_check,
     sum_norm,
@@ -256,13 +255,6 @@ def test_reiteration_real_trivial_ratio_one():
     assert rep.passed
     assert rep.details["ratio_sup"] == pytest.approx(1.0, abs=0.02)
     assert rep.details["ratio_inf"] == pytest.approx(1.0, abs=0.02)
-
-
-def test_periodic_equivalence_bound_shape():
-    assert periodic_equivalence_bound(0.5) == pytest.approx(4.0)
-    assert periodic_equivalence_bound(0.1, K=2.0) == pytest.approx(2.0 / 0.09)
-    with pytest.raises(ArgumentError):
-        periodic_equivalence_bound(0.0)
 
 
 @settings(max_examples=20, deadline=None)

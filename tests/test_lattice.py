@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from interpol_lab.errors import ArgumentError
 from interpol_lab.functors import calderon_complex_space
 from interpol_lab.lattice import (
-    LatticeCoupleView,
     calderon_product_norm,
     calderon_reiteration_check,
     cn_witness,
@@ -68,11 +67,6 @@ def test_product_norm_matches_factorisation_oracle():
     f = rng.normal(size=2)
     got = calderon_product_norm(f, C, 0.45)
     assert got == pytest.approx(calderon_factor_oracle(f, C, 0.45), rel=2e-3)
-
-
-def test_lattice_view_records_fatou():
-    C = couple([1.0], 1, [1.0], 1)
-    assert LatticeCoupleView(C).fatou
 
 
 # --------------------------------------------------------- power inequality

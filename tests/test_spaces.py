@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interpol_lab.errors import ArgumentError
+from interpol_lab.errors import ArgumentError, PrecisionError
 from interpol_lab.spaces import (
     BanachCouple,
     WeightedSpace,
@@ -15,7 +15,7 @@ from interpol_lab.spaces import (
     space_norm,
 )
 
-from oracles import grid_k_oracle
+from oracles import grid_k_oracle, scalar_k_oracle
 
 INF = math.inf
 
@@ -229,11 +229,63 @@ def _check_profile_against_scalar(x, C, ts):
     lo, hi = k_profile(x, C, ts)
     assert np.all(lo <= hi + 1e-12)
     for i in (0, 7, 19, 39):
-        ev = k_functional(float(ts[i]), x, C)
-        assert lo[i] <= ev.upper + 1e-9 * (1 + ev.upper)
-        assert hi[i] >= ev.value - 1e-9 * (1 + ev.value)
+        s_lo, s_hi = scalar_k_oracle(float(ts[i]), x, C)
+        assert lo[i] <= s_hi + 1e-9 * (1 + s_hi)
+        assert hi[i] >= s_lo - 1e-9 * (1 + s_lo)
         assert hi[i] - lo[i] <= 1e-7 * max(1.0, hi[i])
     return lo, hi
+
+
+CLOSED_AND_NEWTON_PAIRS = [(1, 1), (INF, INF), (2, 2), (1, INF), (INF, 1), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("p0,p1", CLOSED_AND_NEWTON_PAIRS)
+def test_k_functional_at_extreme_magnitudes(p0, p1):
+    # K is positively homogeneous and a power-of-two scaling is exact, so the
+    # brackets at x 2^+-565 are the unscaled ones times 2^+-565, bit for bit
+    C = couple([1.0, 3.0], p0, [2.0, 0.5], p1)
+    x = np.array([1.0, -2.0j])
+    base = k_functional(0.7, x, C)
+    for k in (565, -565):
+        ev = k_functional(0.7, math.ldexp(1.0, k) * x, C)
+        assert ev.value == math.ldexp(base.value, k)
+        assert ev.upper == math.ldexp(base.upper, k)
+
+
+def test_k_functional_is_the_one_point_profile():
+    rng = np.random.default_rng(23)
+    exps = [1.0, 1.5, 2.0, 3.0, INF]
+    for p0 in exps:
+        for p1 in exps:
+            for d in (1, 3):
+                C = couple(
+                    np.exp(rng.uniform(-1.5, 1.5, d)), p0,
+                    np.exp(rng.uniform(-1.5, 1.5, d)), p1,
+                )
+                x = rng.normal(size=d) + 1j * rng.normal(size=d)
+                if d > 1:
+                    x[rng.integers(d)] = 0.0
+                for t in (0.3, 2.5):
+                    _check_one_point(t, x, C)
+    # equal endpoint spaces and the zero vector
+    C = couple([1.0, 2.0], 1.5, [1.0, 2.0], 1.5)
+    for t in (0.5, 2.0):
+        _check_one_point(t, np.array([1.0, -1j]), C)
+        _check_one_point(t, np.zeros(2), C)
+
+
+def _check_one_point(t, x, C):
+    try:
+        ev = k_functional(t, x, C, tol=1e-9)
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            k_profile(x, C, [t])
+        return
+    lo, hi = k_profile(x, C, [t])
+    assert hi[0] <= ev.upper
+    if ev.upper <= min(C.space0.norm(x), t * C.space1.norm(x)):
+        # the cap min(||x||_0, t ||x||_1) is inactive
+        assert lo[0] == ev.value and hi[0] == ev.upper
 
 
 def test_k_requires_positive_t_and_tol():
