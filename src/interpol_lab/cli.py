@@ -178,8 +178,6 @@ CONFIG_SCHEMA = {
         "tolerances": {
             "type": "object",
             "properties": {
-                "k_tol": {"type": "number", "exclusiveMinimum": 0},
-                "quad_rtol": {"type": "number", "exclusiveMinimum": 0},
                 "slack": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -293,11 +291,14 @@ def _theta_grid(cfg) -> np.ndarray:
 
 def _quadrature(cfg) -> QuadratureConfig:
     node = cfg.get("t_grid", {})
-    return QuadratureConfig(
-        t_min=node.get("t_min", 1e-8),
-        t_max=node.get("t_max", 1e8),
-        points_per_decade=node.get("points_per_decade", 32),
-    )
+    try:
+        return QuadratureConfig(
+            t_min=node.get("t_min", 1e-8),
+            t_max=node.get("t_max", 1e8),
+            points_per_decade=node.get("points_per_decade", 32),
+        )
+    except ArgumentError as exc:
+        raise ArgumentError(f"config field t_grid: {exc}") from None
 
 
 def _pseudolattice(cfg) -> PseudolatticeCouple:
@@ -358,7 +359,7 @@ def _cmd_norm(cfg, seed, tol, ctx):
     if not prob:
         raise ArgumentError("config field problem: required for norm")
     couple = _couple(prob["domain"])
-    family = _family(cfg)
+    family = dataclasses.replace(_family(cfg), quadrature=_quadrature(cfg))
     theta = cfg.get("functor", {}).get("theta")
     if theta is None:
         raise ArgumentError("config field functor.theta: required for norm")

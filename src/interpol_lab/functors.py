@@ -15,8 +15,8 @@ Two families are realised:
 The two embedding checks for a scale of these spaces (factor-2 comparison
 with the endpoint parameters, and the windowed change-of-exponent bound)
 live here as ``delta_condition_check``; ``reiteration_check`` asserts the
-Calderon parameter identity exactly and reports a measured equivalence
-ratio for the real method.
+Calderon parameter identity exactly (``calderon_reiteration_check``) and
+reports a measured equivalence ratio for the real method.
 """
 
 from __future__ import annotations
@@ -194,60 +194,102 @@ def _affine_power_integral(a, b, A, B, theta, q):
     )
 
 
-def _window_bracket_finite_q(ts, Klo, Khi, theta, q):
-    a0 = -q * theta            # exponent of the constant-K pieces
-    a1 = q * (1.0 - theta)     # exponent of the K ~ t pieces
+def _window_bracket(ts, Klo, Khi, theta, q):
+    """Bracket of the norm's part inside the window [ts[0], ts[-1]].
+
+    For q = inf the sup of t^-theta K over the window; otherwise the
+    integral of (t^-theta K)^q dt/t, not yet raised to 1/q.  On every cell
+    the monotone envelopes of "K nondecreasing, K(t)/t nonincreasing" bound
+    K; the upper one, min(Khi_(k+1), Khi_k t / t_k), kinks at t_up.  For q in
+    {1, 2, inf} the two-sided concave tangents cut the upper end to O(h^2),
+    and for q in {1, 2} the chords lift the lower end.
+    """
     tl, tr = ts[:-1], ts[1:]
     kl_lo, kr_lo = Klo[:-1], Klo[1:]
     kl_hi, kr_hi = Khi[:-1], Khi[1:]
-
     with np.errstate(divide="ignore", invalid="ignore"):
         t_up = np.where(kl_hi > 0, tl * kr_hi / np.where(kl_hi > 0, kl_hi, 1.0), tl)
     t_up = np.clip(t_up, tl, tr)
+    if q in (1.0, 2.0, INF):
+        al, bl, ar, br = _tangent_lines(ts, Klo, Khi)
+        tx = _tangent_crossings(ts, al, bl, ar, br)
+
+    if q == INF:
+        at_left = kl_hi * tl ** (-theta)
+        env = np.minimum(kr_hi, np.where(tl > 0, kl_hi * t_up / tl, kr_hi))
+        cell_sup = np.maximum(env * t_up ** (-theta), at_left)
+        # t^-theta (A + B t) is largest at the cell ends or at the line
+        # crossing, so three evaluations bound the cell sup
+        at_cross = np.minimum(al + bl * tx, ar + br * tx) * tx ** (-theta)
+        tan_sup = np.maximum.reduce([at_left, kr_hi * tr ** (-theta), at_cross])
+        up = float(np.max(np.minimum(cell_sup, tan_sup)))
+        return float(np.max(Klo * ts ** (-theta))), up
+
+    a0 = -q * theta            # exponent of the constant-K pieces
+    a1 = q * (1.0 - theta)     # exponent of the K ~ t pieces
     up = np.where(
         kl_hi > 0, (kl_hi / tl) ** q * _power_integral(tl, t_up, a1), 0.0
     ) + kr_hi**q * _power_integral(np.maximum(t_up, tl), tr, a0)
-
     with np.errstate(divide="ignore", invalid="ignore"):
         t_lo = np.where(kr_lo > 0, tr * kl_lo / np.where(kr_lo > 0, kr_lo, 1.0), tr)
     t_lo = np.clip(t_lo, tl, tr)
     lo = kl_lo**q * _power_integral(tl, t_lo, a0) + np.where(
         kr_lo > 0, (kr_lo / tr) ** q * _power_integral(t_lo, tr, a1), 0.0
     )
-
     if q in (1.0, 2.0):
-        # concavity: chord below, two-sided tangents above; O(h^2) enclosures
         a_ch, b_ch = _chords(ts, Klo)
-        lo_chord = _affine_power_integral(tl, tr, a_ch, b_ch, theta, q)
-        al, bl, ar, br = _tangent_lines(ts, Klo, Khi)
-        tx = _tangent_crossings(ts, al, bl, ar, br)
-        up_tan = _affine_power_integral(tl, tx, al, bl, theta, q) + _affine_power_integral(
-            tx, tr, ar, br, theta, q
+        lo = np.maximum(lo, _affine_power_integral(tl, tr, a_ch, b_ch, theta, q))
+        up = np.minimum(
+            up,
+            _affine_power_integral(tl, tx, al, bl, theta, q)
+            + _affine_power_integral(tx, tr, ar, br, theta, q),
         )
-        lo = np.maximum(lo, lo_chord)
-        up = np.minimum(up, up_tan)
     return float(np.sum(lo)), float(np.sum(np.maximum(up, lo)))
 
 
-def _window_bracket_sup(ts, Klo, Khi, theta):
-    tl, tr = ts[:-1], ts[1:]
-    kl_hi, kr_hi = Khi[:-1], Khi[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = np.where(kl_hi > 0, tl * kr_hi / np.where(kl_hi > 0, kl_hi, 1.0), tl)
-    t_star = np.clip(t_star, tl, tr)
-    env = np.minimum(kr_hi, np.where(tl > 0, kl_hi * t_star / tl, kr_hi))
-    cell_sup = np.maximum(env * t_star ** (-theta), kl_hi * tl ** (-theta))
-    # two-sided concave tangents: t^-theta (A + B t) is largest at the cell
-    # ends or at the line crossing, so three evaluations bound the cell sup
-    al, bl, ar, br = _tangent_lines(ts, Klo, Khi)
-    tx = _tangent_crossings(ts, al, bl, ar, br)
-    at_cross = np.minimum(al + bl * tx, ar + br * tx) * tx ** (-theta)
-    tan_sup = np.maximum.reduce(
-        [kl_hi * tl ** (-theta), kr_hi * tr ** (-theta), at_cross]
-    )
-    up = float(np.max(np.minimum(cell_sup, tan_sup)))
-    lo = float(np.max(Klo * ts ** (-theta)))
-    return lo, up
+def _tail_bracket(ts, Klo, Khi, theta, q, n0, n1):
+    """Brackets ((lo, up) right, (lo, up) left) of the norm's two tails.
+
+    n0 and n1 bound K(t) and K(t)/t: right of t_max, Klo[-1] <= K <=
+    min(n0, Khi[-1] t / t_max); left of t_min, Klo[0] t / t_min <= K <=
+    min(Khi[0], n1 t).  The parts combine as in :func:`_window_bracket`:
+    a sup for q = inf, integrals of q-th powers otherwise.
+    """
+    t_min, t_max = ts[0], ts[-1]
+    if q == INF:
+        right_up = n0 ** (1.0 - theta) * (Khi[-1] / t_max) ** theta
+        left_up = Khi[0] ** (1.0 - theta) * n1**theta
+        # at theta = 0 (1) the sup is the limit t -> inf (0), at least the edge value
+        right_lo = Klo[-1] if theta == 0.0 else 0.0
+        left_lo = Klo[0] / t_min if theta == 1.0 else 0.0
+        return (right_lo, right_up), (left_lo, left_up)
+    a0, a1 = -q * theta, q * (1.0 - theta)
+    t_c = t_max * n0 / max(Khi[-1], 1e-300)
+    right_up = (Khi[-1] / t_max) ** q * _power_integral(
+        np.array([t_max]), np.array([t_c]), a1
+    )[0] + n0**q * t_c**a0 / (q * theta)
+    right_lo = Klo[-1] ** q * t_max**a0 / (q * theta)
+    t_cl = min(Khi[0] / n1, t_min) if n1 > 0 else t_min
+    left_up = n1**q * t_cl**a1 / a1 + Khi[0] ** q * _power_integral(
+        np.array([max(t_cl, 1e-300)]), np.array([t_min]), a0
+    )[0]
+    left_lo = (Klo[0] / t_min) ** q * t_min**a1 / a1
+    return (right_lo, right_up), (left_lo, left_up)
+
+
+def _real_bracket(ts, Klo, Khi, theta, q, ends=None):
+    """(lo, up) of the real (theta, q) norm from one profile level.
+
+    With the endpoint bounds ``ends`` = (n0, n1) the window bracket is
+    joined with the tail bracket; without them it is the windowed norm.
+    """
+    lo, up = _window_bracket(ts, Klo, Khi, theta, q)
+    no_tails = ((0.0, 0.0), (0.0, 0.0))
+    tails = no_tails if ends is None else _tail_bracket(ts, Klo, Khi, theta, q, *ends)
+    (r_lo, r_up), (l_lo, l_up) = tails
+    if q == INF:
+        return max(lo, r_lo, l_lo), max(up, r_up, l_up)
+    return (lo + r_lo + l_lo) ** (1.0 / q), (up + r_up + l_up) ** (1.0 / q)
 
 
 _ROUNDOFF_PAD = 1e-12
@@ -261,53 +303,27 @@ def _peak_abscissae(ts, Klo, Khi):
     return _tangent_crossings(ts, *_tangent_lines(ts, Klo, Khi))
 
 
-def _sup_profile(profile: KProfile, level: int):
-    """K profile on a level grid augmented with estimated peak locations.
+def _level(profile: KProfile, level: int, q):
+    """(ts, Klo, Khi) of a profile level for the (theta, q) reductions.
 
-    The sup of t^-theta K is often attained between nodes (near kinks of K);
-    the tangent-crossing abscissae are inserted so the grid lower bound
-    reaches the peak to O(h^2).  They depend on K alone, so the profile
-    keeps the augmented grid for every theta.
+    The sup of t^-theta K is often attained between nodes (near kinks of
+    K); for q = inf the tangent-crossing abscissae are inserted so the grid
+    lower bound reaches the peak to O(h^2).  They depend on K alone, so the
+    profile keeps the augmented grid for every theta.
     """
-    return profile.augmented(level, _peak_abscissae)
-
-
-def _real_norm_once(profile: KProfile, level: int, theta, q, n0, n1):
     if q == INF:
-        ts, Klo, Khi = _sup_profile(profile, level)
-        lo, up = _window_bracket_sup(ts, Klo, Khi, theta)
-        t_max, t_min = ts[-1], ts[0]
-        # right tail: K <= min(n0, K(t_max) t / t_max)
-        if theta == 0.0:
-            up = max(up, n0)
-            lo = max(lo, Klo[-1])
-        elif theta == 1.0:
-            up = max(up, Khi[-1] / t_max, n1)
-            lo = max(lo, Klo[0] / t_min)
-        else:
-            up = max(up, n0 ** (1.0 - theta) * (Khi[-1] / t_max) ** theta)
-            up = max(up, Khi[0] ** (1.0 - theta) * n1**theta)
-        return _padded(lo, up)
+        return profile.augmented(level, _peak_abscissae)
+    return profile.brackets(level)
 
-    ts, Klo, Khi = profile.brackets(level)
-    t_max, t_min = ts[-1], ts[0]
-    a0, a1 = -q * theta, q * (1.0 - theta)
-    int_lo, int_up = _window_bracket_finite_q(ts, Klo, Khi, theta, q)
-    # right tail
-    t_c = t_max * n0 / max(Khi[-1], 1e-300)
-    tail_r_up = (Khi[-1] / t_max) ** q * _power_integral(
-        np.array([t_max]), np.array([t_c]), a1
-    )[0] + n0**q * t_c**a0 / (q * theta)
-    tail_r_lo = Klo[-1] ** q * t_max**a0 / (q * theta)
-    # left tail
-    t_cl = min(Khi[0] / n1, t_min) if n1 > 0 else t_min
-    tail_l_up = n1**q * t_cl**a1 / a1 + Khi[0] ** q * _power_integral(
-        np.array([max(t_cl, 1e-300)]), np.array([t_min]), a0
-    )[0]
-    tail_l_lo = (Klo[0] / t_min) ** q * t_min**a1 / a1
-    lo = (int_lo + tail_r_lo + tail_l_lo) ** (1.0 / q)
-    up = (int_up + tail_r_up + tail_l_up) ** (1.0 / q)
-    return _padded(lo, up)
+
+def _unit_profile(x, couple: BanachCouple, cfg: Optional[QuadratureConfig]):
+    """(profile, m, e) with |x| = 2^e m and m in the unit binade, where
+    ``profile`` is the memoised K profile of m; None for x = 0."""
+    x = as_vector(x, couple.dim)
+    if not np.any(np.abs(x) > 0):
+        return None
+    m, e = unit_binade(np.abs(x))
+    return (cfg or DEFAULT_QUADRATURE).profile(m, couple), m, e
 
 
 def _scaled(bracket: NormBracket, e: int) -> NormBracket:
@@ -335,18 +351,19 @@ def real_norm(
     with the best bracket attached.
     """
     FunctorSpec("real", theta, q)  # parameter validation
-    cfg = cfg or DEFAULT_QUADRATURE
-    x = as_vector(x, couple.dim)
-    if not np.any(np.abs(x) > 0):
+    unit = _unit_profile(x, couple, cfg)
+    if unit is None:
         return NormBracket(0.0, 0.0)
-    m, e = unit_binade(np.abs(x))
-    n0, n1 = couple.space0.norm(m), couple.space1.norm(m)
-    profile = cfg.profile(m, couple)
-    bracket = _real_norm_once(profile, 0, theta, q, n0, n1)
-    level = 0
+    profile, m, e = unit
+    ends = (couple.space0.norm(m), couple.space1.norm(m))
+
+    def at(level):
+        return _padded(*_real_bracket(*_level(profile, level, q), theta, q, ends))
+
+    level, bracket = 0, at(0)
     while rtol is not None and bracket.relative_width > rtol and level < max_refinements:
         level += 1
-        bracket = _real_norm_once(profile, level, theta, q, n0, n1)
+        bracket = at(level)
     bracket = _scaled(bracket, e)
     if rtol is not None and bracket.relative_width > rtol:
         raise PrecisionError(
@@ -360,19 +377,11 @@ def windowed_real_norm(
     x, couple: BanachCouple, theta: float, q: float, cfg: Optional[QuadratureConfig] = None
 ) -> NormBracket:
     """Bracket of the norm restricted to the quadrature window (no tails)."""
-    cfg = cfg or DEFAULT_QUADRATURE
-    x = as_vector(x, couple.dim)
-    if not np.any(np.abs(x) > 0):
+    unit = _unit_profile(x, couple, cfg)
+    if unit is None:
         return NormBracket(0.0, 0.0)
-    m, e = unit_binade(np.abs(x))
-    profile = cfg.profile(m, couple)
-    if q == INF:
-        ts, Klo, Khi = _sup_profile(profile, 0)
-        lo, up = _window_bracket_sup(ts, Klo, Khi, theta)
-        return _scaled(_padded(lo, up), e)
-    ts, Klo, Khi = profile.brackets(0)
-    lo, up = _window_bracket_finite_q(ts, Klo, Khi, theta, q)
-    return _scaled(_padded(lo ** (1.0 / q), up ** (1.0 / q)), e)
+    profile, _, e = unit
+    return _scaled(_padded(*_real_bracket(*_level(profile, 0, q), theta, q)), e)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +420,36 @@ def vector_norm_bracket(
     if spec.kind == "calderon":
         return exact(calderon_complex_space(couple, spec.theta).norm(x))
     return real_norm(x, couple, spec.theta, spec.q, spec.quadrature, rtol=rtol)
+
+
+def calderon_reiteration_check(
+    couple: BanachCouple,
+    theta0: float,
+    theta1: float,
+    alpha: float,
+    rtol: float = 1e-12,
+) -> CheckReport:
+    """(X_theta0)^(1-alpha) (X_theta1)^alpha = X_beta with
+    beta = (1-alpha) theta0 + alpha theta1: exact parameter identity,
+    endpoints of [0, 1] included."""
+    for v in (theta0, theta1, alpha):
+        if not (0.0 <= v <= 1.0):
+            raise ArgumentError("parameters must lie in [0, 1]")
+    p0, w0 = calderon_weights(couple, theta0)
+    p1, w1 = calderon_weights(couple, theta1)
+    inner = BanachCouple(WeightedSpace(p0, w0), WeightedSpace(p1, w1))
+    p_it, w_it = calderon_weights(inner, alpha)
+    beta = (1.0 - alpha) * theta0 + alpha * theta1
+    p_di, w_di = calderon_weights(couple, beta)
+    p_ok = (p_it == p_di) or (
+        p_it != INF and p_di != INF and abs(p_it - p_di) <= rtol * abs(p_di)
+    )
+    dev = float(np.max(np.abs(w_it - w_di) / w_di))
+    return CheckReport(
+        "calderon-reiteration",
+        bool(p_ok and dev <= rtol),
+        {"beta": beta, "exponents": (p_it, p_di), "max_weight_reldev": dev},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,34 +602,17 @@ def reiteration_check(
     """Reiteration: iterating the scale at (theta0, theta1, lam) lands on the
     direct parameter (1-lam) theta0 + lam theta1.
 
-    Calderon: exact weight/exponent identity, asserted.
+    Calderon: the exact weight/exponent identity of
+    :func:`calderon_reiteration_check`, asserted.
     Real: measured equivalence ratio between the iterated and direct norms
     (normalised so an equal-space couple reports 1); diagnostic only.
     """
     for v in (theta0, theta1, lam):
         if not (0.0 < v < 1.0):
             raise ArgumentError("parameters must lie in (0, 1)")
-    theta = (1.0 - lam) * theta0 + lam * theta1
     if family.kind == "calderon":
-        inner = BanachCouple(
-            calderon_complex_space(couple, theta0),
-            calderon_complex_space(couple, theta1),
-        )
-        p_it, w_it = calderon_weights(inner, lam)
-        p_di, w_di = calderon_weights(couple, theta)
-        p_ok = (p_it == p_di) or (
-            p_it != INF and p_di != INF and abs(p_it - p_di) <= rtol * abs(p_di)
-        )
-        w_ok = bool(np.all(np.abs(w_it - w_di) <= rtol * np.abs(w_di)))
-        return CheckReport(
-            name="reiteration[calderon]",
-            passed=bool(p_ok and w_ok),
-            details={
-                "exponent": (p_it, p_di),
-                "max_weight_reldev": float(np.max(np.abs(w_it - w_di) / w_di)),
-            },
-        )
-
+        return calderon_reiteration_check(couple, theta0, theta1, lam, rtol)
+    theta = (1.0 - lam) * theta0 + lam * theta1
     q = family.q
     cfg = family.quadrature
     samples = samples if samples is not None else []
@@ -648,13 +670,7 @@ def _iterated_real_estimate(x, couple, theta0, theta1, lam, q, cfg):
     ts = outer_cfg.grid()
     kvals = np.min(pairs[:, 0][None, :] + ts[:, None] * pairs[:, 1][None, :], axis=1)
     Klo, Khi = enforce_monotone(kvals.copy(), kvals.copy(), ts)
-    if q == INF:
-        _, up = _window_bracket_sup(ts, Klo, Khi, lam)
-        return up / trivial_couple_constant(lam, q)
-    int_lo, int_up = _window_bracket_finite_q(ts, Klo, Khi, lam, q)
-    # tails from the profile's saturation values at the window edges
-    a0, a1 = -q * lam, q * (1.0 - lam)
-    tail_r = Khi[-1] ** q * ts[-1] ** a0 / (q * lam)
-    tail_l = (Khi[0] / ts[0]) ** q * ts[0] ** a1 / a1
-    val = (int_up + tail_r + tail_l) ** (1.0 / q)
-    return val / trivial_couple_constant(lam, q)
+    # beyond the window the profile stays at its edge values: K(t_max) to
+    # the right, the slope K(t_min) / t_min to the left
+    _, up = _real_bracket(ts, Klo, Khi, lam, q, (Khi[-1], Khi[0] / ts[0]))
+    return up / trivial_couple_constant(lam, q)

@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError
-from .functors import calderon_complex_space, calderon_weights
+# calderon_reiteration_check lives in functors, which this module imports; re-exported
+from .functors import calderon_complex_space, calderon_reiteration_check, calderon_weights
 from .operators import CoupleOperator, invert, is_invertible, is_order_isomorphism, is_positive
 from .report import CheckReport
 from .spaces import INF, BanachCouple, WeightedSpace, as_vector
@@ -76,7 +77,7 @@ def _mixed_space(couple: BanachCouple, theta: float, alpha: float) -> WeightedSp
     return WeightedSpace(p, w)
 
 
-def cn_witness(f, couple: BanachCouple, theta: float, alpha: float) -> np.ndarray:
+def cn_witness(f, couple: BanachCouple, theta: float) -> np.ndarray:
     """Unit-norm g attaining the extrapolation supremum for f.
 
     The power profile aligns the Hoelder equality condition
@@ -146,7 +147,7 @@ def cwikel_nilsson_check(
                 worst_upper = max(worst_upper, v / target)
             if v > target * (1.0 + _REL_SLACK) + 1e-300:
                 passed = False
-        g_star = cn_witness(f, couple, theta, alpha)
+        g_star = cn_witness(f, couple, theta)
         v_star = value(g_star, f)
         dev = abs(v_star - target) / max(target, 1e-300) if target > 0 else 0.0
         worst_witness = max(worst_witness, dev)
@@ -163,36 +164,6 @@ def cwikel_nilsson_check(
             "alpha": alpha,
         },
         witness_detail,
-    )
-
-
-def calderon_reiteration_check(
-    couple: BanachCouple,
-    theta0: float,
-    theta1: float,
-    alpha: float,
-    rtol: float = 1e-12,
-) -> CheckReport:
-    """(X_theta0)^(1-alpha) (X_theta1)^alpha = X_beta with
-    beta = (1-alpha) theta0 + alpha theta1: exact parameter identity,
-    endpoints of [0, 1] included."""
-    for v in (theta0, theta1, alpha):
-        if not (0.0 <= v <= 1.0):
-            raise ArgumentError("parameters must lie in [0, 1]")
-    p0, w0 = calderon_weights(couple, theta0)
-    p1, w1 = calderon_weights(couple, theta1)
-    inner = BanachCouple(WeightedSpace(p0, w0), WeightedSpace(p1, w1))
-    p_it, w_it = calderon_weights(inner, alpha)
-    beta = (1.0 - alpha) * theta0 + alpha * theta1
-    p_di, w_di = calderon_weights(couple, beta)
-    p_ok = (p_it == p_di) or (
-        p_it != INF and p_di != INF and abs(p_it - p_di) <= rtol * abs(p_di)
-    )
-    dev = float(np.max(np.abs(w_it - w_di) / w_di))
-    return CheckReport(
-        "calderon-reiteration",
-        bool(p_ok and dev <= rtol),
-        {"beta": beta, "exponents": (p_it, p_di), "max_weight_reldev": dev},
     )
 
 
@@ -277,14 +248,11 @@ def order_iso_sweep(
     witness = None
     for Tb, th0, thetas, reflected in branches:
         probe = list(base_samples)
-        per_theta = {}
+        g_abs = [np.abs(cn_witness(f, Tb.domain, th0)) for f in base_samples]
         for th1 in thetas:
             alpha = th0 / th1
-            for f in base_samples:
-                g_star = cn_witness(f, Tb.domain, th0, alpha)
-                u = np.abs(g_star) ** (1.0 - alpha) * np.abs(f) ** alpha
-                probe.append(u)
-                per_theta.setdefault(th1, []).append(f)
+            for f, g in zip(base_samples, g_abs):
+                probe.append(g ** (1.0 - alpha) * np.abs(f) ** alpha)
         C = _cone_constant(Tb, th0, probe)
         measured_c["reflected" if reflected else "direct"] = C
         if not (C > 0):
@@ -295,7 +263,7 @@ def order_iso_sweep(
             X1 = calderon_complex_space(Tb.domain, th1)
             Y1 = calderon_complex_space(Tb.codomain, th1)
             bound = C ** (1.0 / alpha)
-            for f in per_theta[th1]:
+            for f in base_samples:
                 nf = X1.norm(f)
                 if nf == 0:
                     continue

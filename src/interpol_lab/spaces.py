@@ -430,7 +430,8 @@ def _k_l1_l2(m, w0, w1, ts):
     lo = np.empty(T)
     hi = np.empty(T)
     lam0 = np.zeros((T, m.size))
-    full = magnitude_pnorm(np.ones_like(m), w0 / w1, 2) <= ts
+    # everything on the l1 side is optimal once ||w0/w1||_2 over the support is <= t
+    full = magnitude_pnorm((m > 0) * 1.0, w0 / w1, 2) <= ts
     lo[full] = hi[full] = float(np.sum(m * w0))
     lam0[full] = 1.0
     interior = ~full

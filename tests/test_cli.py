@@ -7,6 +7,8 @@ import yaml
 
 from interpol_lab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, load_config, main
 from interpol_lab.errors import ArgumentError
+from interpol_lab.functors import QuadratureConfig, real_norm
+from interpol_lab.spaces import BanachCouple, WeightedSpace
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -112,6 +114,49 @@ def test_norm_command_exact_marker(tmp_path):
     entry = report["data"]["norms"][0]
     assert entry["exact"] is True
     assert entry["lower"] == pytest.approx(3.0, rel=1e-12)
+
+
+def real_norm_cfg(outdir, t_grid):
+    return {
+        "problem": {
+            "domain": {
+                "space0": {"p": 2, "weights": [1.0, 4.0]},
+                "space1": {"p": 1, "weights": [9.0, 1.0]},
+            }
+        },
+        "functor": {"method": "real", "q": 2, "theta": 0.4},
+        "vectors": [[1.0, [0.5, -2.0]]],
+        "t_grid": t_grid,
+        "output": {"dir": str(outdir)},
+    }
+
+
+def test_norm_command_uses_t_grid(tmp_path):
+    out = tmp_path / "out"
+    t_grid = {"t_min": 1.0e-2, "t_max": 1.0e2, "points_per_decade": 4}
+    cfg = write_cfg(tmp_path, real_norm_cfg(out, t_grid))
+    assert main(["norm", "--config", cfg]) == EXIT_PASS
+    entry = json.loads((out / "report.json").read_text())["data"]["norms"][0]
+    C = BanachCouple(WeightedSpace(2, [1.0, 4.0]), WeightedSpace(1, [9.0, 1.0]))
+    x = [1.0, 0.5 - 2.0j]
+    b = real_norm(x, C, 0.4, 2.0, QuadratureConfig(1e-2, 1e2, 4))
+    assert (entry["lower"], entry["upper"]) == (b.lower, b.upper)
+    default = real_norm(x, C, 0.4, 2.0)
+    assert (entry["lower"], entry["upper"]) != (default.lower, default.upper)
+
+
+def test_norm_command_bad_t_grid_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, real_norm_cfg(tmp_path / "o", {"t_min": 10}))
+    assert main(["norm", "--config", cfg]) == EXIT_CONFIG
+    assert "t_grid" in capsys.readouterr().err
+
+
+def test_unread_tolerance_knob_exits_two(tmp_path, capsys):
+    data = identity_sweep_cfg(tmp_path / "o")
+    data["tolerances"] = {"k_tol": 1.0e-6}
+    cfg = write_cfg(tmp_path, data)
+    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+    assert "k_tol" in capsys.readouterr().err
 
 
 def test_spectrum_command_with_resolvent(tmp_path):

@@ -172,6 +172,15 @@ def test_reiteration_equal_thetas():
         assert calderon_reiteration_check(C, 0.4, 0.4, a).passed
 
 
+def test_reiteration_check_is_shared_with_functors():
+    from interpol_lab import functors, lattice
+
+    assert lattice.calderon_reiteration_check is functors.calderon_reiteration_check
+    C = couple([1.0, 2.0], 1, [4.0, 1.0], INF)
+    via_family = functors.reiteration_check(C, 0.2, 0.7, 0.4, functors.FunctorFamily("calderon"))
+    assert via_family == calderon_reiteration_check(C, 0.2, 0.7, 0.4)
+
+
 def test_reiteration_reference_values():
     C = couple([1.0, 2.0], 2, [4.0, 1.0], 2)
     rep = calderon_reiteration_check(C, 0.25, 0.75, 0.5)

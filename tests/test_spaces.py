@@ -252,6 +252,21 @@ def test_k_functional_at_extreme_magnitudes(p0, p1):
         assert ev.upper == math.ldexp(base.upper, k)
 
 
+def test_k_l1_l2_all_on_the_l1_side_over_the_support():
+    # ||w0/w1||_2 is 1.03 over the support of x and 5.1 over every
+    # coordinate; for t >= 1.03 the split x0 = x is optimal, K = sum w0 |x|
+    w_l1, w_l2 = np.array([1.0, 5.0, 1.0]), np.array([1.0, 1.0, 4.0])
+    x = np.array([2.87, 0.0, 0.48])
+    exact = float(np.sum(w_l1 * np.abs(x)))
+    for t in (1.2, 2.0, 3.0):
+        ev = k_functional(t, x, couple(w_l1, 1, w_l2, 2))
+        assert ev.gap == 0 and ev.value == exact
+    # (2, 1) through the t-swap K(t, x; X1, X0) = t K(1/t, x; X0, X1)
+    for t in (0.5, 1.0 / 3.0):
+        ev = k_functional(t, x, couple(w_l2, 2, w_l1, 1))
+        assert ev.gap == 0 and ev.value == t * exact
+
+
 def test_k_functional_is_the_one_point_profile():
     rng = np.random.default_rng(23)
     exps = [1.0, 1.5, 2.0, 3.0, INF]
