@@ -194,6 +194,11 @@ CONFIG_SCHEMA = {
     "required": [],
     "additionalProperties": False,
 }
+# Built once: jsonschema.validate would check CONFIG_SCHEMA against the
+# metaschema on every call (tests/test_cli.py checks it once instead).
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _schema_path(err: jsonschema.ValidationError) -> str:
@@ -211,10 +216,9 @@ def load_config(path: str) -> dict:
         raise ArgumentError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
         raise ArgumentError(f"config is not valid YAML: {exc}")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ArgumentError(f"config field {_schema_path(exc)}: {exc.message}")
+    err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if err is not None:
+        raise ArgumentError(f"config field {_schema_path(err)}: {err.message}")
     return cfg
 
 
@@ -286,6 +290,12 @@ def _theta_grid(cfg) -> np.ndarray:
             raise ArgumentError(f"config field functor.theta_grid.{key}: must be finite")
     if not node["step"] > 0:
         raise ArgumentError("config field functor.theta_grid.step: must be positive")
+    span = (node["stop"] - node["start"]) / node["step"]
+    if not math.isfinite(span) or math.floor(span) + 1 > _MAX_GRID_POINTS:
+        raise ArgumentError(
+            "config field functor.theta_grid.step: too small, the grid would have "
+            f"more than {_MAX_GRID_POINTS} points"
+        )
     return np.arange(node["start"], node["stop"] + 1e-12, node["step"])
 
 
@@ -574,10 +584,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        tol = args.tol or cfg.get("tolerances", {}).get("slack")
+        tol = args.tol if args.tol is not None else cfg.get("tolerances", {}).get("slack")
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            # the schema's exclusiveMinimum lets nan and inf through
+            source = "--tol" if args.tol is not None else "config field tolerances.slack"
+            raise ArgumentError(f"{source}: must be finite and positive, got {tol}")
         ctx = {"csv": {}}
         verdicts, data = COMMANDS[args.command](cfg, seed, tol, ctx)
-    except (ArgumentError, jsonschema.ValidationError) as exc:
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PrecisionError as exc:

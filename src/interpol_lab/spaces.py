@@ -579,7 +579,7 @@ def _k_general(t, m, w0, p0, w1, p1, tol):
             (1.0 - lam) * m, w1, p1
         )
 
-    def grad(lam):
+    def value_and_grad(lam):
         lam = np.clip(lam, 0.0, 1.0)
         u, v = lam * m, (1.0 - lam) * m
         n0 = magnitude_pnorm(u, w0, p0)
@@ -594,7 +594,7 @@ def _k_general(t, m, w0, p0, w1, p1, tol):
             if n1 > 1e-300
             else np.zeros(d)
         )
-        return g0 - t * g1
+        return n0 + t * n1, g0 - t * g1
 
     starts = [
         np.full(d, 0.5),
@@ -610,9 +610,9 @@ def _k_general(t, m, w0, p0, w1, p1, tol):
         for lam0 in starts:
             if smooth:
                 lam = optimize.minimize(
-                    objective,
+                    value_and_grad,
                     lam0,
-                    jac=grad,
+                    jac=True,
                     method="L-BFGS-B",
                     bounds=[(0.0, 1.0)] * d,
                     options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},

@@ -2,10 +2,13 @@ import json
 import re
 from pathlib import Path
 
+import jsonschema
+import numpy as np
 import pytest
 import yaml
 
-from interpol_lab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, load_config, main
+from interpol_lab import cli
+from interpol_lab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, _schema_path, load_config, main
 from interpol_lab.errors import ArgumentError
 from interpol_lab.functors import QuadratureConfig, real_norm
 from interpol_lab.spaces import BanachCouple, WeightedSpace
@@ -275,3 +278,66 @@ def test_bad_suite_size_exits_two(tmp_path, capsys, sizes, field):
     cfg = write_cfg(tmp_path, data)
     assert main(["cancel", "--config", cfg]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+def test_config_schema_is_valid():
+    # load_config validates with a prebuilt validator and no longer checks
+    # the schema itself on each call
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+_SPACE2 = "space1: {p: 2, weights: [1.0]}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "problem: {domain: {space0: {p: 2, weights: [1.0, 0.0]}, " + _SPACE2 + "}}",
+        "bogus: 1",
+        "tolerances: {k_tol: 1.0e-6}",
+        "tolerances: {slack: 1.0e308}",  # PyYAML reads this as a string
+        "vectors: [[1.0, [1.0, 2.0, 3.0]]]",
+        "functor: {method: real, theta_grid: {start: 0.1, stop: 0.9}}",
+        "problem: {domain: {space0: {p: 0.5, weights: [1.0]}, " + _SPACE2 + "}}",
+        "suites: {preset: slow}",
+    ],
+    ids=["weight", "unknown-field", "k_tol", "float-spelling", "ragged-entry", "theta_grid", "p", "suites"],
+)
+def test_config_error_message_matches_jsonschema_validate(tmp_path, text):
+    p = tmp_path / "cfg.yaml"
+    p.write_text(text + "\n")
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(yaml.safe_load(text), cli.CONFIG_SCHEMA)
+    with pytest.raises(ArgumentError) as got:
+        load_config(str(p))
+    assert str(got.value) == f"config field {_schema_path(ref.value)}: {ref.value.message}"
+
+
+@pytest.mark.parametrize("step", [1e-300, 1e-9])
+def test_tiny_theta_step_exits_two_before_allocating(tmp_path, capsys, monkeypatch, step):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("np.arange called for an oversized grid")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    data = identity_sweep_cfg(tmp_path / "o")
+    data["functor"]["theta_grid"]["step"] = step
+    cfg = write_cfg(tmp_path, data)
+    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+    assert "functor.theta_grid.step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "inf", "-1"])
+def test_bad_tol_exits_two(tmp_path, capsys, tol):
+    cfg = write_cfg(tmp_path, identity_sweep_cfg(tmp_path / "o"))
+    assert main(["sweep", "--config", cfg, "--tol", tol]) == EXIT_CONFIG
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slack", [".nan", ".inf"])
+def test_nonfinite_slack_exits_two(tmp_path, capsys, slack):
+    text = (CONFIGS / "kfun_example.yaml").read_text()
+    text = text.replace("dir: out/kfun", f"dir: {tmp_path / 'o'}")
+    p = tmp_path / "cfg.yaml"
+    p.write_text(text + f"tolerances: {{slack: {slack}}}\n")
+    assert main(["kfun", "--config", str(p)]) == EXIT_CONFIG
+    assert "tolerances.slack" in capsys.readouterr().err
