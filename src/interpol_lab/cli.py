@@ -200,6 +200,10 @@ _CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 _MAX_GRID_POINTS = 1_000_000
 
+# libyaml's parser where PyYAML was built with it; the constructor and the
+# resolver are SafeLoader's either way, so both load the same values
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _schema_path(err: jsonschema.ValidationError) -> str:
     parts = []
@@ -211,7 +215,7 @@ def _schema_path(err: jsonschema.ValidationError) -> str:
 def load_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
-            cfg = yaml.safe_load(fh) or {}
+            cfg = yaml.load(fh, Loader=_YAML_LOADER) or {}
     except FileNotFoundError:
         raise ArgumentError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
@@ -235,8 +239,17 @@ def _entry(v) -> complex:
     return complex(v[0], v[1])
 
 
-def _vector(entries) -> np.ndarray:
-    return np.array([_entry(e) for e in entries], dtype=complex)
+def _vectors(cfg, command) -> list:
+    vectors = []
+    for i, entries in enumerate(cfg.get("vectors", [])):
+        x = np.array([_entry(e) for e in entries], dtype=complex)
+        if not np.all(np.isfinite(x)):
+            j = np.argwhere(~np.isfinite(x))[0][0]
+            raise ArgumentError(f"config field vectors[{i}][{j}]: entries must be finite")
+        vectors.append(x)
+    if not vectors:
+        raise ArgumentError(f"config field vectors: required for {command}")
+    return vectors
 
 
 def _space(node) -> WeightedSpace:
@@ -346,9 +359,7 @@ def _cmd_kfun(cfg, seed, tol, ctx):
     if not prob:
         raise ArgumentError("config field problem: required for kfun")
     couple = _couple(prob["domain"])
-    vectors = [_vector(v) for v in cfg.get("vectors", [])]
-    if not vectors:
-        raise ArgumentError("config field vectors: required for kfun")
+    vectors = _vectors(cfg, "kfun")
     quad = _quadrature(cfg)
     ts = quad.grid()
     rows = []
@@ -373,9 +384,7 @@ def _cmd_norm(cfg, seed, tol, ctx):
     theta = cfg.get("functor", {}).get("theta")
     if theta is None:
         raise ArgumentError("config field functor.theta: required for norm")
-    vectors = [_vector(v) for v in cfg.get("vectors", [])]
-    if not vectors:
-        raise ArgumentError("config field vectors: required for norm")
+    vectors = _vectors(cfg, "norm")
     out = []
     for vi, x in enumerate(vectors):
         b = vector_norm_bracket(x, couple, family.at(float(theta)), rtol=tol)

@@ -12,8 +12,9 @@ spaces on one index set.  The splitting functional
 
 is computed by one kernel, with a certified optimality gap, for a whole
 array of t at once: closed forms for (1, 1), (inf, inf) and (1, inf), a
-safeguarded Newton solve for (2, 2) and (1, 2), and for every other pair a
-convex minimisation over coordinatewise shrinkage factors with a
+safeguarded Newton solve for (2, 2) and (1, 2), a ternary search over the
+sup budget for (p, inf), and for every other (finite) pair an L-BFGS-B
+minimisation over coordinatewise shrinkage factors; the last two carry a
 duality-based lower bound.  ``k_profile`` is that kernel over a grid;
 ``k_functional`` is its one-point case and also returns the splitter.
 
@@ -549,9 +550,15 @@ def _k_any_linf(t, m, w0, p0, w1):
     for _ in range(200):
         third = (hi - lo) / 3.0
         u1, u2 = lo + third, hi - third
+        # a step that leaves (lo, hi) unchanged is a fixed point: every
+        # later step would repeat it
         if cost(u1) <= cost(u2):
+            if u2 == hi:
+                break
             hi = u2
         else:
+            if u1 == lo:
+                break
             lo = u1
     u = 0.5 * (lo + hi)
     best_u, best_val = u, cost(u)
@@ -569,8 +576,15 @@ def _k_any_linf(t, m, w0, p0, w1):
 
 
 def _k_general(t, m, w0, p0, w1, p1, tol):
-    """(lower, upper, lam) of K by minimisation over the shrinkage factors;
-    raises PrecisionError unless the dual gap is below tol * max(1, upper)."""
+    """(lower, upper, lam) of K for finite p0, p1 by L-BFGS-B over the
+    shrinkage factors.
+
+    Starts run in a fixed order (lam = 1/2, the (1, 1) split, 0, 1, then
+    two rounds of the best split so far and four ``default_rng(0)`` draws);
+    after each start the dual lower end is built from the best split, and
+    the first start whose gap is below tol * max(1, upper) is returned.
+    Raises PrecisionError with the best bracket when no start certifies.
+    """
     d = m.size
 
     def objective(lam):
@@ -603,112 +617,46 @@ def _k_general(t, m, w0, p0, w1, p1, tol):
         np.ones(d),
     ]
     rng = np.random.default_rng(0)
-    best_lam, best_val = None, INF
-    smooth = p0 != INF and p1 != INF
+    best_lam, best_val, lower = None, INF, 0.0
 
-    for attempt in range(3):
+    for _ in range(3):
         for lam0 in starts:
-            if smooth:
-                lam = optimize.minimize(
-                    value_and_grad,
-                    lam0,
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=[(0.0, 1.0)] * d,
-                    options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
-                ).x
-            else:
-                lam = _k_epigraph_solve(t, m, w0, p0, w1, p1, lam0)
+            lam = optimize.minimize(
+                value_and_grad,
+                lam0,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(0.0, 1.0)] * d,
+                options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
+            ).x
             val = objective(lam)
-            if val < best_val:
-                best_val, best_lam = val, np.clip(lam, 0.0, 1.0)
-        u, v = best_lam * m, (1.0 - best_lam) * m
-        z0 = _subgradient(u, w0, p0)
-        z1 = _subgradient(v, w1, p1)
-        if z1 is not None:
-            z1 = t * z1
-        cands = [z0, z1]
-        if z0 is not None and z1 is not None:
-            cands.append(0.5 * (z0 + z1))
-            cands.append(np.minimum(z0, z1))
-        if p0 == 1 and z1 is not None:
-            cands.append(np.minimum(w0, z1))
-        if p1 == 1 and z0 is not None:
-            cands.append(np.minimum(t * w1, z0))
-        lower = _dual_lower(m, w0, p0, w1, p1, t, cands)
-        lower = min(lower, best_val)
-        gap = best_val - lower
-        if gap <= tol * max(1.0, best_val):
-            return lower, best_val, best_lam
+            if not val < best_val:
+                # the certificate of an unchanged best split is unchanged
+                continue
+            best_val, best_lam = val, np.clip(lam, 0.0, 1.0)
+            u, v = best_lam * m, (1.0 - best_lam) * m
+            z0 = _subgradient(u, w0, p0)
+            z1 = _subgradient(v, w1, p1)
+            if z1 is not None:
+                z1 = t * z1
+            cands = [z0, z1]
+            if z0 is not None and z1 is not None:
+                cands.append(0.5 * (z0 + z1))
+                cands.append(np.minimum(z0, z1))
+            if p0 == 1 and z1 is not None:
+                cands.append(np.minimum(w0, z1))
+            if p1 == 1 and z0 is not None:
+                cands.append(np.minimum(t * w1, z0))
+            lower = _dual_lower(m, w0, p0, w1, p1, t, cands)
+            lower = min(lower, best_val)
+            if best_val - lower <= tol * max(1.0, best_val):
+                return lower, best_val, best_lam
         starts = [best_lam] + [rng.uniform(0, 1, d) for _ in range(4)]
 
     raise PrecisionError(
-        f"splitting functional gap {gap:.3e} above tolerance {tol:.3e}",
+        f"splitting functional gap {best_val - lower:.3e} above tolerance {tol:.3e}",
         bracket=(lower, best_val),
     )
-
-
-def _k_epigraph_solve(t, m, w0, p0, w1, p1, lam0) -> np.ndarray:
-    """SLSQP epigraph formulation used when an exponent is infinite; returns
-    the shrinkage factors clipped to [0, 1]."""
-    d = m.size
-
-    def pack(lam, a, b):
-        return np.concatenate([lam, [a, b]])
-
-    def obj(y):
-        return y[d] + y[d + 1]
-
-    def obj_grad(y):
-        g = np.zeros(d + 2)
-        g[d] = g[d + 1] = 1.0
-        return g
-
-    cons = []
-    if p0 == INF:
-        for i in range(d):
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda y, i=i: y[d] - w0[i] * m[i] * y[i]),
-                }
-            )
-    else:
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": lambda y: y[d] - magnitude_pnorm(np.clip(y[:d], 0, 1) * m, w0, p0),
-            }
-        )
-    if p1 == INF:
-        for i in range(d):
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda y, i=i: y[d + 1] - t * w1[i] * m[i] * (1.0 - y[i])),
-                }
-            )
-    else:
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": lambda y: y[d + 1]
-                - t * magnitude_pnorm((1.0 - np.clip(y[:d], 0, 1)) * m, w1, p1),
-            }
-        )
-    a0 = magnitude_pnorm(lam0 * m, w0, p0)
-    b0 = t * magnitude_pnorm((1.0 - lam0) * m, w1, p1)
-    bounds = [(0.0, 1.0)] * d + [(0.0, None), (0.0, None)]
-    res = optimize.minimize(
-        obj,
-        pack(lam0, a0 * 1.001 + 1e-12, b0 * 1.001 + 1e-12),
-        jac=obj_grad,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=cons,
-        options={"maxiter": 400, "ftol": 1e-14},
-    )
-    return np.clip(res.x[:d], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

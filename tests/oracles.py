@@ -4,7 +4,9 @@ These deliberately avoid the library's solver paths: the K oracle is a
 zooming grid search over coordinatewise shrinkage factors, the Calderon
 oracle enumerates factorisations on spheres, and the window-representation
 oracle grids the free coefficients directly.  ``scalar_k_oracle`` keeps
-the one-t-at-a-time K solvers that the vectorised K kernel replaced.
+the one-t-at-a-time K solvers that the vectorised K kernel replaced, and
+``full_sup_budget_search`` the (p, inf) solver before its search stopped
+at its fixed point.
 """
 
 import itertools
@@ -13,13 +15,26 @@ import math
 import numpy as np
 from scipy import optimize
 
-from interpol_lab.spaces import _linf_candidates, magnitude_pnorm
+from interpol_lab.spaces import (
+    INF,
+    _dual_lower,
+    _linf_candidates,
+    _shares,
+    _subgradient,
+    magnitude_pnorm,
+)
 
 _EPS = 1e-300
 
 
 def grid_k_oracle(t, x, couple, stages=5, pts=25):
-    """Zooming grid search for K(t, x); value accurate to ~1e-5 at dim <= 3."""
+    """Zooming grid search for K(t, x).
+
+    The value is the objective of a feasible split, so an upper bound on K,
+    usually within ~1e-5 of it at dim <= 3.  The zoom can lose the
+    minimiser: on one dim-3 (2, 4) couple it stops 1.05e-3 (relative) above
+    a K certified to a gap of 1e-11.
+    """
     m = np.abs(np.asarray(x, dtype=complex))
     d = m.size
     w0, p0 = couple.space0.weights, couple.space0.p
@@ -280,3 +295,34 @@ def scalar_k_oracle(t, x, couple):
         return min(lower, upper), upper
 
     raise ValueError(f"no scalar oracle for the pair ({p0}, {p1})")
+
+
+def full_sup_budget_search(t, m, w0, p0, w1):
+    """(lower, upper, lam) of K for (p0, inf) by all 200 steps of the ternary
+    search over the sup budget u; a drop-in for ``spaces._k_any_linf``."""
+    u_hi = float(np.max(m * w1))
+
+    def cost(u):
+        return magnitude_pnorm(np.maximum(m - u / w1, 0.0), w0, p0) + t * u
+
+    lo, hi = 0.0, u_hi
+    for _ in range(200):
+        third = (hi - lo) / 3.0
+        u1, u2 = lo + third, hi - third
+        if cost(u1) <= cost(u2):
+            hi = u2
+        else:
+            lo = u1
+    u = 0.5 * (lo + hi)
+    best_u, best_val = u, cost(u)
+    for cand in (0.0, u_hi):
+        c = cost(cand)
+        if c < best_val:
+            best_u, best_val = cand, c
+    u = best_u
+    y = np.maximum(m - u / w1, 0.0)
+    z0 = _subgradient(y, w0, p0)
+    cands = [z0] if z0 is not None else [t * _subgradient(m, w1, INF)]
+    lower = _dual_lower(m, w0, p0, w1, INF, t, cands)
+    lower = min(lower, best_val)
+    return lower, best_val, 1.0 - np.minimum(1.0, _shares(u, w1 * m))

@@ -242,6 +242,16 @@ def test_bundled_configs_are_valid():
         load_config(str(CONFIGS / name))
 
 
+def test_config_loader_matches_safe_load():
+    for name in ("shear_sweep.yaml", "verify_quick.yaml", "kfun_example.yaml"):
+        assert load_config(str(CONFIGS / name)) == yaml.safe_load((CONFIGS / name).read_text())
+    text = "[1.0e308, 1.0e+308, .nan, .inf, 0x10]"
+    got = yaml.load(text, Loader=cli._YAML_LOADER)
+    # repr tells NaN from NaN-free values and floats apart bit for bit
+    assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in yaml.safe_load(text)]
+    assert got[0] == "1.0e308" and got[4] == 16
+
+
 def test_zero_theta_step_exits_two(tmp_path, capsys):
     data = identity_sweep_cfg(tmp_path / "o")
     data["functor"]["theta_grid"]["step"] = 0
@@ -257,6 +267,26 @@ def test_nonfinite_matrix_entry_exits_two(tmp_path, capsys, entry):
     cfg = write_cfg(tmp_path, data)
     assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
     assert "problem.operator.matrix[1][0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["kfun", "norm"])
+def test_nonfinite_vector_entry_exits_two(tmp_path, capsys, command, entry):
+    data = {
+        "problem": {
+            "domain": {
+                "space0": {"p": 2, "weights": [1.0, 2.0]},
+                "space1": {"p": 3, "weights": [0.5, 1.0]},
+            }
+        },
+        "functor": {"method": "real", "q": 2, "theta": 0.4},
+        "vectors": [[1.0, 2.0], [entry, 2.0]],
+        "t_grid": {"t_min": 0.1, "t_max": 10.0, "points_per_decade": 2},
+        "output": {"dir": str(tmp_path / "o")},
+    }
+    cfg = write_cfg(tmp_path, data)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert "vectors[1][0]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("matrix", [[[1.0, 0.0], [1.0]], [[1.0, 0.0], [1.0, 0.0, 2.0]]])

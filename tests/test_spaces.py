@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interpol_lab import spaces
 from interpol_lab.errors import ArgumentError, PrecisionError
 from interpol_lab.spaces import (
     BanachCouple,
@@ -15,7 +16,7 @@ from interpol_lab.spaces import (
     space_norm,
 )
 
-from oracles import grid_k_oracle, scalar_k_oracle
+from oracles import full_sup_budget_search, grid_k_oracle, scalar_k_oracle
 
 INF = math.inf
 
@@ -309,3 +310,63 @@ def test_k_requires_positive_t_and_tol():
         k_functional(0.0, [1.0], C)
     with pytest.raises(ArgumentError):
         k_functional(1.0, [1.0], C, tol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_sup_budget_search_matches_full_search(p, monkeypatch):
+    rng = np.random.default_rng(29)
+    cases = []
+    for d in (1, 2, 3, 4):
+        for pair in ((p, INF), (INF, p)):
+            C = couple(
+                np.exp(rng.uniform(-1.5, 1.5, d)), pair[0],
+                np.exp(rng.uniform(-1.5, 1.5, d)), pair[1],
+            )
+            x = rng.normal(size=d) + 1j * rng.normal(size=d)
+            y = rng.normal(size=d)
+            y[rng.integers(d)] = 0.0
+            cases += [(t, v, C) for v in (x, y) for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
+    stopped = [k_functional(t, v, C) for t, v, C in cases]
+    monkeypatch.setattr(spaces, "_k_any_linf", full_sup_budget_search)
+    for (t, v, C), ev in zip(cases, stopped):
+        ref = k_functional(t, v, C)
+        assert (ev.value, ev.gap, ev.upper) == (ref.value, ref.gap, ref.upper)
+        assert np.array_equal(ev.splitter[0], ref.splitter[0])
+        assert np.array_equal(ev.splitter[1], ref.splitter[1])
+
+
+def test_general_pairs_certify_with_one_minimisation(monkeypatch):
+    calls = []
+    minimize = spaces.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(spaces.optimize, "minimize", counting)
+    rng = np.random.default_rng(31)
+    exps = [1.0, 1.5, 2.0, 3.0, 4.0]
+    newton_or_closed = {(1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (2.0, 1.0)}
+    tol = 1e-8
+    evaluations = 0
+    for p0 in exps:
+        for p1 in exps:
+            if (p0, p1) in newton_or_closed:
+                continue
+            for d in (1, 2, 3):
+                C = couple(
+                    np.exp(rng.uniform(-1.5, 1.5, d)), p0,
+                    np.exp(rng.uniform(-1.5, 1.5, d)), p1,
+                )
+                x = rng.normal(size=d) + 1j * rng.normal(size=d)
+                for t in (0.1, 0.316, 1.0, 3.16, 10.0):
+                    ev = k_functional(t, x, C, tol=tol)
+                    evaluations += 1
+                    assert ev.gap <= tol * max(1.0, ev.upper)
+                    # the grid oracle is the objective of a feasible split:
+                    # no lower end may exceed it, and no upper end may be
+                    # worse than it by more than its accuracy
+                    oracle = grid_k_oracle(t, x, C)
+                    assert ev.value <= oracle + 1e-12 * max(1.0, oracle)
+                    assert ev.upper <= oracle + 1e-5 * max(1.0, oracle)
+    assert len(calls) == evaluations
