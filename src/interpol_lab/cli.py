@@ -51,7 +51,16 @@ EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 
 
+# Every number in a config, integer or not, is a finite float: the schema's
+# "number" and "integer" reject nan, +-inf and integers beyond the float range
+_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
+_FINITE_TYPES = _TYPES.redefine_many({
+    "number": lambda checker, v: _TYPES.is_type(v, "number") and abs(v) <= sys.float_info.max,
+    "integer": lambda checker, v: _TYPES.is_type(v, "integer") and abs(v) <= sys.float_info.max,
+})
 _NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_EXPONENT = {"oneOf": [{"type": "number", "minimum": 1}, {"const": "inf"}, {"const": math.inf}]}
 _ENTRY = {
     "oneOf": [
         {"type": "number"},
@@ -62,10 +71,10 @@ _VECTOR = {"type": "array", "items": _ENTRY, "minItems": 1}
 _SPACE = {
     "type": "object",
     "properties": {
-        "p": {"oneOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]},
+        "p": _EXPONENT,
         "weights": {
             "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
+            "items": _POSITIVE,
             "minItems": 1,
         },
     },
@@ -80,15 +89,16 @@ _COUPLE = {
 }
 _THETA_GRID = {
     "oneOf": [
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        {"type": "array", "items": _NUMBER, "minItems": 1},
         {
             "type": "object",
-            "properties": {"start": _NUMBER, "stop": _NUMBER, "step": _NUMBER},
+            "properties": {"start": _NUMBER, "stop": _NUMBER, "step": _POSITIVE},
             "required": ["start", "stop", "step"],
             "additionalProperties": False,
         },
     ]
 }
+_SEED = {"type": "integer", "minimum": 0}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -112,8 +122,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "method": {"enum": ["calderon", "real"]},
-                "q": {"oneOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]},
-                "theta": {"type": "number"},
+                "q": _EXPONENT,
+                "theta": _NUMBER,
                 "theta_grid": _THETA_GRID,
             },
             "required": ["method"],
@@ -123,8 +133,8 @@ CONFIG_SCHEMA = {
         "t_grid": {
             "type": "object",
             "properties": {
-                "t_min": {"type": "number", "exclusiveMinimum": 0},
-                "t_max": {"type": "number", "exclusiveMinimum": 0},
+                "t_min": _POSITIVE,
+                "t_max": _POSITIVE,
                 "points_per_decade": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
@@ -134,18 +144,9 @@ CONFIG_SCHEMA = {
             "properties": {
                 "s": _ENTRY,
                 "targets": {"type": "array", "items": _ENTRY},
-                "support": {
-                    "type": "array",
-                    "items": {"type": "integer"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
                 "pseudolattice": {
                     "type": "object",
-                    "properties": {
-                        "q0": {"oneOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]},
-                        "q1": {"oneOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]},
-                    },
+                    "properties": {"q0": _EXPONENT, "q1": _EXPONENT},
                     "additionalProperties": False,
                 },
                 "rhs": {
@@ -161,7 +162,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "lambdas": {"type": "array", "items": _ENTRY, "minItems": 1},
-                "thetas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                "thetas": {"type": "array", "items": _NUMBER, "minItems": 1},
             },
             "required": ["lambdas", "thetas"],
             "additionalProperties": False,
@@ -170,16 +171,14 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "preset": {"enum": ["full", "quick"]},
-                "sizes": {"type": "object"},
+                "sizes": {"type": "object", "additionalProperties": _POSITIVE},
             },
             "additionalProperties": False,
         },
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": _SEED,
         "tolerances": {
             "type": "object",
-            "properties": {
-                "slack": {"type": "number", "exclusiveMinimum": 0},
-            },
+            "properties": {"slack": _POSITIVE},
             "additionalProperties": False,
         },
         "output": {
@@ -196,7 +195,10 @@ CONFIG_SCHEMA = {
 }
 # Built once: jsonschema.validate would check CONFIG_SCHEMA against the
 # metaschema on every call (tests/test_cli.py checks it once instead).
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_CONFIG_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=_FINITE_TYPES,
+)(CONFIG_SCHEMA)
 
 _MAX_GRID_POINTS = 1_000_000
 
@@ -226,6 +228,14 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _flag(value, schema: dict, flag: str):
+    """A command-line value checked by the schema rule of its config field."""
+    err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.evolve(schema=schema).iter_errors(value))
+    if err is not None:
+        raise ArgumentError(f"{flag}: {err.message}")
+    return value
+
+
 # ------------------------------------------------------------- constructors
 
 
@@ -233,20 +243,22 @@ def _exponent(v):
     return INF if v == "inf" else float(v)
 
 
-def _entry(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
+def _complex(node, path: str, ndim: int):
+    """A schema-checked complex field: a number or an [re, im] pair at
+    ndim 0, else an array whose rows must have equal lengths."""
+    if ndim == 0:
+        return complex(*node) if isinstance(node, list) else complex(node)
+    if ndim == 2:
+        for i, row in enumerate(node):
+            if len(row) != len(node[0]):
+                raise ArgumentError(
+                    f"config field {path}[{i}]: has {len(row)} entries, row 0 has {len(node[0])}"
+                )
+    return np.array([_complex(v, path, ndim - 1) for v in node], dtype=complex)
 
 
 def _vectors(cfg, command) -> list:
-    vectors = []
-    for i, entries in enumerate(cfg.get("vectors", [])):
-        x = np.array([_entry(e) for e in entries], dtype=complex)
-        if not np.all(np.isfinite(x)):
-            j = np.argwhere(~np.isfinite(x))[0][0]
-            raise ArgumentError(f"config field vectors[{i}][{j}]: entries must be finite")
-        vectors.append(x)
+    vectors = [_complex(v, f"vectors[{i}]", 1) for i, v in enumerate(cfg.get("vectors", []))]
     if not vectors:
         raise ArgumentError(f"config field vectors: required for {command}")
     return vectors
@@ -260,28 +272,14 @@ def _couple(node) -> BanachCouple:
     return BanachCouple(_space(node["space0"]), _space(node["space1"]))
 
 
-def _matrix(node) -> np.ndarray:
-    rows = node["matrix"]
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ArgumentError(
-                f"config field problem.operator.matrix[{i}]: has {len(row)} entries, "
-                f"row 0 has {len(rows[0])}"
-            )
-    M = np.array([[_entry(e) for e in row] for row in rows], dtype=complex)
-    if not np.all(np.isfinite(M)):
-        i, j = np.argwhere(~np.isfinite(M))[0]
-        raise ArgumentError(f"config field problem.operator.matrix[{i}][{j}]: entries must be finite")
-    return M
-
-
 def _operator(cfg) -> CoupleOperator:
     prob = cfg.get("problem")
     if not prob or "operator" not in prob:
         raise ArgumentError("config field problem.operator: required for this command")
     dom = _couple(prob["domain"])
     cod = _couple(prob["codomain"]) if "codomain" in prob else dom
-    return CoupleOperator(_matrix(prob["operator"]), dom, cod)
+    matrix = _complex(prob["operator"]["matrix"], "problem.operator.matrix", 2)
+    return CoupleOperator(matrix, dom, cod)
 
 
 def _family(cfg) -> FunctorFamily:
@@ -298,30 +296,36 @@ def _theta_grid(cfg) -> np.ndarray:
         raise ArgumentError("config field functor.theta_grid: required for this command")
     if isinstance(node, list):
         return np.asarray(node, dtype=float)
-    for key in ("start", "stop", "step"):
-        if not math.isfinite(node[key]):
-            raise ArgumentError(f"config field functor.theta_grid.{key}: must be finite")
-    if not node["step"] > 0:
-        raise ArgumentError("config field functor.theta_grid.step: must be positive")
-    span = (node["stop"] - node["start"]) / node["step"]
-    if not math.isfinite(span) or math.floor(span) + 1 > _MAX_GRID_POINTS:
+    start, stop, step = node["start"], node["stop"], node["step"]
+    _bound_grid(lambda: math.floor((stop - start) / step) + 1, "functor.theta_grid.step")
+    return np.arange(start, stop + 1e-12, step)
+
+
+def _bound_grid(count, field: str) -> None:
+    """Exit 2 before a grid of more than _MAX_GRID_POINTS points is built;
+    ``count()`` counts its points and overflows for a grid beyond floats."""
+    try:
+        too_big = count() > _MAX_GRID_POINTS
+    except OverflowError:
+        too_big = True
+    if too_big:
         raise ArgumentError(
-            "config field functor.theta_grid.step: too small, the grid would have "
-            f"more than {_MAX_GRID_POINTS} points"
+            f"config field {field}: the grid would have more than {_MAX_GRID_POINTS} points"
         )
-    return np.arange(node["start"], node["stop"] + 1e-12, node["step"])
 
 
 def _quadrature(cfg) -> QuadratureConfig:
     node = cfg.get("t_grid", {})
     try:
-        return QuadratureConfig(
+        quad = QuadratureConfig(
             t_min=node.get("t_min", 1e-8),
             t_max=node.get("t_max", 1e8),
             points_per_decade=node.get("points_per_decade", 32),
         )
     except ArgumentError as exc:
         raise ArgumentError(f"config field t_grid: {exc}") from None
+    _bound_grid(lambda: quad.intervals + 1, "t_grid.points_per_decade")
+    return quad
 
 
 def _pseudolattice(cfg) -> PseudolatticeCouple:
@@ -341,11 +345,8 @@ def _sizes(cfg) -> VerifySizes:
             raise ArgumentError(
                 f"config field suites.sizes.{key}: unknown size, expected one of {sorted(known)}"
             )
-        integral = known[key] in (int, "int")
-        numeric = isinstance(value, int) or (not integral and isinstance(value, float))
-        if isinstance(value, bool) or not numeric or not value > 0:
-            kind = "a positive integer" if integral else "a positive number"
-            raise ArgumentError(f"config field suites.sizes.{key}: must be {kind}")
+        if known[key] in (int, "int") and not isinstance(value, int):
+            raise ArgumentError(f"config field suites.sizes.{key}: must be a positive integer")
     if overrides:
         base = dataclasses.replace(base, **overrides)
     return base
@@ -447,11 +448,11 @@ def _cmd_solve_analytic(cfg, seed, tol, ctx):
     node = cfg.get("annulus")
     if not node or "s" not in node:
         raise ArgumentError("config field annulus.s: required for solve-analytic")
-    s = AnnulusPoint(_entry(node["s"]))
+    s = AnnulusPoint(_complex(node["s"], "annulus.s", 0))
     if "rhs" not in node:
         raise ArgumentError("config field annulus.rhs: required for solve-analytic")
-    k = LaurentElement(node["rhs"]["lo"], [[_entry(e) for e in row] for row in node["rhs"]["coeffs"]])
-    targets = tuple(_entry(t) for t in node.get("targets", []))
+    k = LaurentElement(node["rhs"]["lo"], _complex(node["rhs"]["coeffs"], "annulus.rhs.coeffs", 2))
+    targets = tuple(_complex(node.get("targets", []), "annulus.targets", 1).tolist())
     solver_cfg = AnalyticSolverConfig(
         max_terms=30, targets=targets, pseudolattice=_pseudolattice(cfg)
     )
@@ -498,7 +499,7 @@ def _cmd_spectrum(cfg, seed, tol, ctx):
     data = {"eigenvalues": [[z.real, z.imag] for z in eig]}
     verdicts = [CheckReport("spectrum", True, {"count": len(eig)})]
     if node:
-        lams = [_entry(l) for l in node["lambdas"]]
+        lams = _complex(node["lambdas"], "resolvent.lambdas", 1).tolist()
         thetas = [float(t) for t in node["thetas"]]
         prof = resolvent_profile(T, lams, thetas, _family(cfg))
         rows = []
@@ -592,12 +593,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        tol = args.tol if args.tol is not None else cfg.get("tolerances", {}).get("slack")
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            # the schema's exclusiveMinimum lets nan and inf through
-            source = "--tol" if args.tol is not None else "config field tolerances.slack"
-            raise ArgumentError(f"{source}: must be finite and positive, got {tol}")
+        seed = _flag(args.seed, _SEED, "--seed") if args.seed is not None else int(cfg.get("seed", 0))
+        tol = cfg.get("tolerances", {}).get("slack")
+        tol = _flag(args.tol, _POSITIVE, "--tol") if args.tol is not None else tol
         ctx = {"csv": {}}
         verdicts, data = COMMANDS[args.command](cfg, seed, tol, ctx)
     except ArgumentError as exc:

@@ -37,6 +37,7 @@ from .spaces import (
     WeightedSpace,
     enforce_monotone,
     as_vector,
+    finite_vector,
     k_functional,
     unit_binade,
 )
@@ -319,7 +320,7 @@ def _level(profile: KProfile, level: int, q):
 def _unit_profile(x, couple: BanachCouple, cfg: Optional[QuadratureConfig]):
     """(profile, m, e) with |x| = 2^e m and m in the unit binade, where
     ``profile`` is the memoised K profile of m; None for x = 0."""
-    x = as_vector(x, couple.dim)
+    x = finite_vector(x, couple.dim)
     if not np.any(np.abs(x) > 0):
         return None
     m, e = unit_binade(np.abs(x))

@@ -189,6 +189,14 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def finite_vector(x, dim: Optional[int] = None) -> np.ndarray:
+    """:func:`as_vector` for a caller's x, whose entries must be finite."""
+    v = as_vector(x, dim)
+    if not np.all(np.isfinite(v)):
+        raise ArgumentError("x must have finite entries")
+    return v
+
+
 def space_norm(x, space: WeightedSpace) -> float:
     return space.norm(x)
 
@@ -678,7 +686,7 @@ def k_functional(t: float, x, couple: BanachCouple, tol: float = 1e-8) -> KEvalu
         raise ArgumentError("t must be positive")
     if tol <= 0:
         raise ArgumentError("tol must be positive")
-    x = as_vector(x, couple.dim)
+    x = finite_vector(x, couple.dim)
     lo, hi, lam = _k_kernel(np.abs(x), couple, np.array([t], dtype=float), tol)
     x0 = lam[0] * x
     return KEvaluation(t, float(lo[0]), (x0, x - x0), float(hi[0] - lo[0]))
@@ -695,7 +703,7 @@ def k_profile(x, couple: BanachCouple, ts: np.ndarray) -> Tuple[np.ndarray, np.n
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ArgumentError("t grid must be positive")
-    m = np.abs(as_vector(x, couple.dim))
+    m = np.abs(finite_vector(x, couple.dim))
     lo, hi, _ = _k_kernel(m, couple, ts, 1e-9)
     s0, s1 = couple.space0, couple.space1
     cap = np.minimum(magnitude_pnorm(m, s0.weights, s0.p), ts * magnitude_pnorm(m, s1.weights, s1.p))

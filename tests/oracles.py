@@ -86,13 +86,13 @@ def calderon_factor_oracle(f, couple, theta, n_dir=240, refine=3):
             scale = np.sum((w[None, :] * u) ** p, axis=1) ** (1.0 / p)
         return u / scale[:, None]
 
-    def lam_needed(f0, f1):
-        prod = f0 ** (1.0 - theta) * f1**theta
+    def lam_needed(s0, s1):
+        # every pair (f0, f1) of rows at once: the lambda each pair needs,
+        # inf where f0^(1-theta) f1^theta vanishes on the support of f
+        prod = s0[:, None, :] ** (1.0 - theta) * s1[None, :, :] ** theta
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(m > 0, m / np.where(prod > 0, prod, np.nan), 0.0)
-        if np.any(np.isnan(r)):
-            return np.inf
-        return np.max(r)
+        return np.where(np.any(np.isnan(r), axis=2), np.inf, np.max(r, axis=2))
 
     a_lo, a_hi = 1e-4, np.pi / 2 - 1e-4
     b_lo, b_hi = a_lo, a_hi
@@ -102,10 +102,7 @@ def calderon_factor_oracle(f, couple, theta, n_dir=240, refine=3):
         angles_b = np.linspace(b_lo, b_hi, n_dir)
         s0 = sphere(w0, p0, angles_a)
         s1 = sphere(w1, p1, angles_b)
-        vals = np.full((n_dir, n_dir), np.inf)
-        for i in range(s0.shape[0]):
-            for j in range(s1.shape[0]):
-                vals[i, j] = lam_needed(s0[i], s1[j])
+        vals = lam_needed(s0, s1)
         k = np.unravel_index(np.argmin(vals), vals.shape)
         best = min(best, float(vals[k]))
         if d == 1:

@@ -1,11 +1,15 @@
+import copy
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from interpol_lab import cli
 from interpol_lab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, _schema_path, load_config, main
@@ -371,3 +375,228 @@ def test_nonfinite_slack_exits_two(tmp_path, capsys, slack):
     p.write_text(text + f"tolerances: {{slack: {slack}}}\n")
     assert main(["kfun", "--config", str(p)]) == EXIT_CONFIG
     assert "tolerances.slack" in capsys.readouterr().err
+
+
+def kfun_cfg(outdir, t_grid):
+    return {
+        "problem": {
+            "domain": {
+                "space0": {"p": 2, "weights": [1.0, 2.0]},
+                "space1": {"p": 3, "weights": [0.5, 1.0]},
+            }
+        },
+        "vectors": [[1.0, 2.0]],
+        "t_grid": t_grid,
+        "output": {"dir": str(outdir)},
+    }
+
+
+def test_infinite_t_max_exits_two(tmp_path, capsys):
+    data = kfun_cfg(tmp_path / "o", {"t_min": 0.1, "t_max": float("inf"), "points_per_decade": 2})
+    assert main(["kfun", "--config", write_cfg(tmp_path, data)]) == EXIT_CONFIG
+    assert "t_grid.t_max" in capsys.readouterr().err
+
+
+def test_huge_t_grid_exits_two_before_allocating(tmp_path, capsys, monkeypatch):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("np.linspace called for an oversized grid")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    for ppd in (cli._MAX_GRID_POINTS // 2, 10**300):  # 2 decades; the second overflows
+        data = kfun_cfg(tmp_path / "o", {"t_min": 0.1, "t_max": 10.0, "points_per_decade": ppd})
+        assert main(["kfun", "--config", write_cfg(tmp_path, data)]) == EXIT_CONFIG
+        assert "t_grid.points_per_decade" in capsys.readouterr().err
+
+
+def test_t_grid_bound_counts_level_zero_points():
+    # two decades: 2 * ppd intervals, 2 * ppd + 1 points
+    cfg = {"t_grid": {"t_min": 0.1, "t_max": 10.0, "points_per_decade": cli._MAX_GRID_POINTS // 2 - 1}}
+    assert cli._quadrature(cfg).intervals + 1 == cli._MAX_GRID_POINTS - 1
+    cfg["t_grid"]["points_per_decade"] += 1
+    with pytest.raises(ArgumentError, match="t_grid.points_per_decade"):
+        cli._quadrature(cfg)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf"), 10**400], ids=["nan", "-inf", "10**400"])
+def test_integer_fields_must_be_finite_floats(tmp_path, capsys, value):
+    data = kfun_cfg(tmp_path / "o", {"t_min": 0.1, "t_max": 10.0, "points_per_decade": 2})
+    data["seed"] = value
+    assert main(["kfun", "--config", write_cfg(tmp_path, data)]) == EXIT_CONFIG
+    assert "config field seed" in capsys.readouterr().err
+
+
+def spectrum_cfg(outdir, lambdas):
+    return {
+        "problem": {
+            "domain": {
+                "space0": {"p": 2, "weights": [1.0, 2.0]},
+                "space1": {"p": 3, "weights": [0.5, 1.0]},
+            },
+            "operator": {"matrix": [[1.0, 0.0], [0.0, 2.0]]},
+        },
+        "functor": {"method": "calderon"},
+        "resolvent": {"lambdas": lambdas, "thetas": [0.5]},
+        "output": {"dir": str(outdir)},
+    }
+
+
+@pytest.mark.parametrize("lam", [float("nan"), [0.0, float("inf")]])
+def test_nonfinite_resolvent_lambda_exits_two(tmp_path, capsys, lam):
+    data = spectrum_cfg(tmp_path / "o", [lam])
+    assert main(["spectrum", "--config", write_cfg(tmp_path, data)]) == EXIT_CONFIG
+    assert "resolvent.lambdas[0]" in capsys.readouterr().err
+
+
+def analytic_cfg(outdir, coeffs):
+    return {
+        "problem": {
+            "domain": {
+                "space0": {"p": 2, "weights": [1.0, 1.0]},
+                "space1": {"p": 2, "weights": [54.598150033144236, 0.01831563888873418]},
+            },
+            "operator": {"matrix": [[1.0, 1.0], [0.0, 1.0]]},
+        },
+        "annulus": {
+            "s": [1.6, 0.1],
+            "targets": [[1.6490510119, 0.0329807], 1.7],
+            "rhs": {"lo": 1, "coeffs": coeffs},
+        },
+        "output": {"dir": str(outdir), "emit_plot_data": True},
+    }
+
+
+@pytest.mark.parametrize("coeffs", [[[1.0, 1.0], [1.0]], [[1.0, 1.0], [1.0, [0.0, 1.0], 2.0]]])
+def test_ragged_rhs_coeffs_exit_two(tmp_path, capsys, coeffs):
+    data = analytic_cfg(tmp_path / "o", coeffs)
+    assert main(["solve-analytic", "--config", write_cfg(tmp_path, data)]) == EXIT_CONFIG
+    assert "annulus.rhs.coeffs[1]" in capsys.readouterr().err
+
+
+def test_complex_annulus_fields_are_read(tmp_path):
+    out = tmp_path / "o"
+    data = analytic_cfg(out, [[1.0, [0.5, -0.5]], [[0.0, 1.0], 0.25]])
+    assert main(["solve-analytic", "--config", write_cfg(tmp_path, data)]) in (EXIT_PASS, EXIT_FAIL)
+    targets = json.loads((out / "report.json").read_text())["data"]["analytic"]["targets"]
+    assert [t["omega"] for t in targets] == [[1.6490510119, 0.0329807], [1.7, 0.0]]
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys):
+    data = {"suites": {"preset": "quick", "sizes": {"cancellation_samples": 3}}, "output": {"dir": str(tmp_path / "o")}}
+    assert main(["cancel", "--config", write_cfg(tmp_path, data), "--seed", "-1"]) == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_annulus_support_is_rejected(tmp_path, capsys):
+    data = analytic_cfg(tmp_path / "o", [[1.0, 1.0]])
+    data["annulus"]["support"] = [-4, 4]
+    assert main(["solve-analytic", "--config", write_cfg(tmp_path, data)]) == EXIT_CONFIG
+    assert "support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inf", ["inf", float("inf")])
+def test_exponents_accept_both_inf_spellings(tmp_path, inf):
+    data = kfun_cfg(tmp_path / "o", {"t_min": 0.1, "t_max": 10.0, "points_per_decade": 2})
+    data["problem"]["domain"]["space0"]["p"] = inf
+    data["functor"] = {"method": "real", "q": inf, "theta": 0.5}
+    data["annulus"] = {"pseudolattice": {"q0": inf, "q1": inf}}
+    cfg = load_config(write_cfg(tmp_path, data))
+    assert cli._couple(cfg["problem"]["domain"]).space0.p == math.inf
+    assert cli._family(cfg).q == math.inf
+    assert (cli._pseudolattice(cfg).q0, cli._pseudolattice(cfg).q1) == (math.inf, math.inf)
+
+
+# ----------------------------------------------------------- the CLI contract
+
+_BASE = {
+    "kfun": kfun_cfg("unused", {"t_min": 0.1, "t_max": 10.0, "points_per_decade": 2}),
+    "norm": {
+        "problem": {
+            "domain": {
+                "space0": {"p": 2, "weights": [1.0, 4.0]},
+                "space1": {"p": 2, "weights": [9.0, 1.0]},
+            }
+        },
+        "functor": {"method": "real", "q": 2, "theta": 0.4},
+        "vectors": [[1.0, [0.5, -2.0]]],
+        "t_grid": {"t_min": 0.1, "t_max": 10.0, "points_per_decade": 2},
+    },
+    "sweep": dict(
+        identity_sweep_cfg("unused"),
+        functor={"method": "real", "q": 2, "theta_grid": {"start": 0.1, "stop": 0.9, "step": 0.2}},
+    ),
+    "spectrum": dict(spectrum_cfg("unused", [3.0, [0.0, 1.0]]), functor={"method": "real", "q": 2}),
+    "solve-analytic": analytic_cfg("unused", [[1.0, 1.0], [0.5, [0.0, 1.0]]]),
+    "lattice-sweep": {
+        "problem": {
+            "domain": {
+                "space0": {"p": 1, "weights": [1.0, 2.0]},
+                "space1": {"p": 2, "weights": [3.0, 0.5]},
+            },
+            "operator": {"matrix": [[2.0, 1.0], [0.5, 3.0]]},
+        },
+        "functor": {"method": "calderon", "theta": 0.5, "theta_grid": [0.3, 0.7]},
+        "seed": 3,
+    },
+    "cancel": {"suites": {"preset": "quick", "sizes": {"cancellation_samples": 3}}},
+}
+for _cfg in _BASE.values():
+    _cfg.pop("output", None)  # the test passes --out
+_JUNK = [float("nan"), float("inf"), float("-inf"), 0, -1, "x", None, [], True]
+_FLAGS = [("--seed", s) for s in ("-1", "0", "7")] + [("--tol", t) for t in ("0", "nan", "inf", "-1", "1e-6")]
+
+
+def _paths(node, path=()):
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutations(command):
+    """One mutation of the command's base config: a numeric leaf replaced, a
+    key deleted, an unknown key added, a row one entry shorter or longer, or
+    a command-line flag."""
+    paths = list(_paths(_BASE[command]))
+    leaves = [p for p, v in paths if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    keys = [p for p, _ in paths if p and isinstance(p[-1], str)]
+    dicts = [p for p, v in paths if isinstance(v, dict)]
+    rows = [p for p, _ in paths if len(p) > 1 and p[-2] in ("vectors", "matrix", "coeffs")]
+    kinds = {"replace": (leaves, _JUNK), "delete": (keys,), "add": (dicts,), "row": (rows, [-1, 1]), "flag": (_FLAGS,)}
+    return st.one_of([st.tuples(st.just(k), *map(st.sampled_from, args)) for k, args in kinds.items() if args[0]])
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_BASE)).flatmap(lambda c: st.tuples(st.just(c), _mutations(c))))
+@example(("kfun", ("replace", ("t_grid", "t_max"), float("inf"))))
+@example(("spectrum", ("replace", ("resolvent", "lambdas", 0), float("nan"))))
+@example(("solve-analytic", ("row", ("annulus", "rhs", "coeffs", 1), -1)))
+@example(("cancel", ("flag", ("--seed", "-1"))))
+def test_malformed_input_never_escapes_main(case):
+    command, (kind, where, *arg) = case
+    cfg, flags = copy.deepcopy(_BASE[command]), []
+    if kind == "replace":
+        _at(cfg, where[:-1])[where[-1]] = arg[0]
+    elif kind == "delete":
+        del _at(cfg, where[:-1])[where[-1]]
+    elif kind == "add":
+        _at(cfg, where)["bogus"] = 1
+    elif kind == "row":
+        row = _at(cfg, where)
+        row.pop() if arg[0] < 0 else row.append(row[-1])
+    else:
+        flags = list(where)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        try:
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")] + flags)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == EXIT_CONFIG
+            return
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, cli.EXIT_PRECISION)

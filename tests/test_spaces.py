@@ -370,3 +370,22 @@ def test_general_pairs_certify_with_one_minimisation(monkeypatch):
                     assert ev.value <= oracle + 1e-12 * max(1.0, oracle)
                     assert ev.upper <= oracle + 1e-5 * max(1.0, oracle)
     assert len(calls) == evaluations
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, complex(1.0, -INF)], ids=["nan", "inf", "complex-inf"])
+@pytest.mark.parametrize("others", [[2.0], [math.nan]], ids=["one-bad", "all-bad"])
+@pytest.mark.parametrize("pair", [(2, 3), (2, 2), (1, INF)])
+def test_k_entry_points_reject_nonfinite_vectors(pair, others, bad):
+    from interpol_lab.functors import real_norm, windowed_real_norm
+
+    C = couple([1.0, 2.0], pair[0], [0.5, 1.0], pair[1])
+    x = [bad] + others
+    calls = [
+        lambda: k_functional(0.7, x, C),
+        lambda: k_profile(x, C, np.array([0.5, 1.0, 2.0])),
+        lambda: real_norm(x, C, 0.5, 2.0),
+        lambda: windowed_real_norm(x, C, 0.5, INF),
+    ]
+    for call in calls:
+        with pytest.raises(ArgumentError, match="finite"):
+            call()
