@@ -11,8 +11,13 @@ The value space at a point s of the annulus carries the norm
 
     ||x||_s = inf { j_norm(b) : sum s^n b_n = x },
 
-computed here as a certified bracket.  Division of a representation that
-vanishes at s by (z - s) is exact on finite supports:
+computed here as a certified bracket.  Its upper end minimises a smoothed
+j_norm over one support window with one objective, ``_BspaceObjective``,
+built once per minimisation from everything that does not depend on the
+iterate.
+
+Division of a representation that vanishes at s by (z - s) is exact on
+finite supports:
 
     g_n = sum_{k >= 0} s^k f_{n+k+1},
 
@@ -282,13 +287,13 @@ def _smooth_exponent(p: float, mu: float) -> float:
 
 def _pnorm_and_grad(v: np.ndarray, p: float):
     """(value, d value / d v) of the l^p norm of a nonnegative vector."""
-    top = float(np.max(v))
+    top = float(np.maximum.reduce(v))
     if top <= 0.0:
         return 0.0, np.zeros_like(v)
     u = v / top
     if p == 1.0:
-        return top * float(np.sum(u)), np.ones_like(v)
-    val = top * float(np.sum(u**p)) ** (1.0 / p)
+        return top * float(np.add.reduce(u)), np.ones_like(v)
+    val = top * float(np.add.reduce(u**p)) ** (1.0 / p)
     grad = (v / val) ** (p - 1.0)
     return val, grad
 
@@ -296,60 +301,77 @@ def _pnorm_and_grad(v: np.ndarray, p: float):
 def _rowwise_pnorm_and_grad(M: np.ndarray, p: float):
     """Row-by-row l^p norms of a nonnegative matrix, with gradients."""
     if p == 1.0:
-        return np.sum(M, axis=1), np.ones_like(M)
-    top = np.max(M, axis=1, keepdims=True)
+        return np.add.reduce(M, axis=1), np.ones_like(M)
+    top = np.maximum.reduce(M, axis=1, keepdims=True)
     safe = np.maximum(top, 1e-300)
     u = M / safe
-    val = (safe[:, 0]) * np.sum(u**p, axis=1) ** (1.0 / p)
+    val = safe[:, 0] * np.add.reduce(u**p, axis=1) ** (1.0 / p)
     vsafe = np.maximum(val, 1e-300)[:, None]
     grad = (M / vsafe) ** (p - 1.0)
     zero = top[:, 0] <= 0.0
-    val[zero] = 0.0
-    grad[zero] = 0.0
+    if np.logical_or.reduce(zero):
+        val[zero] = 0.0
+        grad[zero] = 0.0
     return val, grad
 
 
-def _bspace_objective(z, x, sv, window, d, anchor_idx, w0, p0, w1, p1, q0, q1, ewts, mu):
+class _BspaceObjective:
     """Smoothed representation norm and gradient over the free coefficients.
 
     The anchor coefficient is eliminated through the evaluation constraint,
-    so every point is feasible; infinite exponents are replaced by mu.
+    so every point is feasible; infinite exponents are replaced by mu.  The
+    iterate z holds the real parts of the free coefficients, then their
+    imaginary parts.  Everything that does not depend on z is built here,
+    once per minimisation.
     """
-    W = len(window)
-    free = np.delete(np.arange(W), anchor_idx)
-    zc = (z[: (W - 1) * d] + 1j * z[(W - 1) * d :]).reshape(W - 1, d)
-    coeffs = np.zeros((W, d), dtype=complex)
-    coeffs[free] = zc
-    s_pow = sv ** window.astype(float)
-    coeffs[anchor_idx] = (x - s_pow[free] @ zc) / s_pow[anchor_idx]
 
-    mags = np.sqrt(np.abs(coeffs) ** 2 + _SMOOTH_EPS)
-    p0s, p1s, q0s, q1s = (
-        _smooth_exponent(p0, mu),
-        _smooth_exponent(p1, mu),
-        _smooth_exponent(q0, mu),
-        _smooth_exponent(q1, mu),
-    )
-    c0, g0 = _rowwise_pnorm_and_grad(w0[None, :] * mags, p0s)
-    c1, g1 = _rowwise_pnorm_and_grad(w1[None, :] * mags, p1s)
+    def __init__(self, x, sv, window, anchor_idx, P: PseudolatticeCouple, B: BanachCouple, mu):
+        W, d = len(window), x.size
+        self.x, self.W, self.d, self.n = x, W, d, (W - 1) * d
+        self.anchor = anchor_idx
+        self.free = np.delete(np.arange(W), anchor_idx)
+        s_pow = sv ** window.astype(float)
+        self.s_free = s_pow[self.free]
+        self.s_anchor = s_pow[anchor_idx]
+        self.ratio = (self.s_free / self.s_anchor).conj()[:, None]
+        self.w0 = B.space0.weights[None, :]
+        self.w1 = B.space1.weights[None, :]
+        self.ewts = np.exp(window.astype(float))
+        self.mu = mu
+        self.p0, self.p1, self.q0, self.q1 = (
+            _smooth_exponent(e, mu) for e in (B.space0.p, B.space1.p, P.q0, P.q1)
+        )
 
-    S0, dS0 = _pnorm_and_grad(c0, q0s)
-    S1, dS1 = _pnorm_and_grad(ewts * c1, q1s)
-    F, dF = _pnorm_and_grad(np.array([S0, S1]), mu)
-    if F == 0.0:
-        return 0.0, np.zeros_like(z)
+    def coefficients(self, z) -> np.ndarray:
+        """The (W, d) coefficients of the window: free rows from z, the anchor
+        row from the evaluation constraint."""
+        n = self.n
+        zc = (z[:n] + 1j * z[n:]).reshape(self.W - 1, self.d)
+        coeffs = np.zeros((self.W, self.d), dtype=complex)
+        coeffs[self.free] = zc
+        coeffs[self.anchor] = (self.x - self.s_free @ zc) / self.s_anchor
+        return coeffs
 
-    # back-propagate to the coefficient magnitudes
-    dmag = (
-        dF[0] * dS0[:, None] * g0 * w0[None, :]
-        + dF[1] * (dS1 * ewts)[:, None] * g1 * w1[None, :]
-    )
-    dcoeff = dmag * coeffs / mags  # complex gradient wrt conj(coeffs), scaled
-    # chain through the anchored coefficient
-    ratio = (s_pow[free] / s_pow[anchor_idx]).conj()
-    dfree = dcoeff[free] - ratio[:, None] * dcoeff[anchor_idx][None, :]
-    grad = np.concatenate([dfree.real.ravel(), dfree.imag.ravel()])
-    return F, grad
+    def __call__(self, z):
+        coeffs = self.coefficients(z)
+        w0, w1, ewts = self.w0, self.w1, self.ewts
+        mags = np.sqrt(np.abs(coeffs) ** 2 + _SMOOTH_EPS)
+        c0, g0 = _rowwise_pnorm_and_grad(w0 * mags, self.p0)
+        c1, g1 = _rowwise_pnorm_and_grad(w1 * mags, self.p1)
+
+        S0, dS0 = _pnorm_and_grad(c0, self.q0)
+        S1, dS1 = _pnorm_and_grad(ewts * c1, self.q1)
+        F, dF = _pnorm_and_grad(np.array([S0, S1]), self.mu)
+        if F == 0.0:
+            return 0.0, np.zeros_like(z)
+
+        # back-propagate to the coefficient magnitudes
+        dmag = dF[0] * dS0[:, None] * g0 * w0 + dF[1] * (dS1 * ewts)[:, None] * g1 * w1
+        dcoeff = dmag * coeffs / mags  # complex gradient wrt conj(coeffs), scaled
+        # chain through the anchored coefficient
+        a = self.anchor
+        dfree = dcoeff[self.free] - self.ratio * dcoeff[a : a + 1]
+        return F, np.concatenate((dfree.real, dfree.imag), axis=None)
 
 
 def bspace_norm(
@@ -385,47 +407,25 @@ def bspace_norm(
 
     W = len(window)
     anchor_idx = int(np.argmin(np.abs(window)))
-    args = (
-        x,
-        sv,
-        window,
-        d,
-        anchor_idx,
-        B.space0.weights,
-        B.space0.p,
-        B.space1.weights,
-        B.space1.p,
-        P.q0,
-        P.q1,
-        np.exp(window.astype(float)),
-    )
-
     spread = np.array([x * sv ** (-float(n)) / W for n in window])
     zc = np.delete(spread, anchor_idx, axis=0)
     z = np.concatenate([zc.real.ravel(), zc.imag.ravel()])
     for mu in (64.0, 512.0):
+        objective = _BspaceObjective(x, sv, window, anchor_idx, P, B, mu)
         res = optimize.minimize(
-            _bspace_objective,
+            objective,
             z,
-            args=args + (mu,),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 120, "ftol": 1e-13, "gtol": 1e-11},
         )
         z = res.x
 
-    free = np.delete(np.arange(W), anchor_idx)
-    zc = (z[: (W - 1) * d] + 1j * z[(W - 1) * d :]).reshape(W - 1, d)
-    coeffs = np.zeros((W, d), dtype=complex)
-    coeffs[free] = zc
-    s_pow = sv ** window.astype(float)
-    coeffs[anchor_idx] = (x - s_pow[free] @ zc) / s_pow[anchor_idx]
-    rep = LaurentElement(lo, coeffs)
+    rep = LaurentElement(lo, objective.coefficients(z))
     best_val = j_norm(rep, P, B)
 
-    anchored = np.zeros((W, d), dtype=complex)
-    anchored[anchor_idx] = x / s_pow[anchor_idx]
-    triv = LaurentElement(lo, anchored)
+    # the trivial representation: every free coefficient zero
+    triv = LaurentElement(lo, objective.coefficients(np.zeros_like(z)))
     triv_val = j_norm(triv, P, B)
     if triv_val < best_val:
         best_val, rep = triv_val, triv
@@ -544,7 +544,8 @@ def kernel_distance_probe(
             witness = witness or {"sample": k, "excess": lhs - rhs}
         upper_s = min(1.0, cert.j_fx)
         upper_o = min(1.0, cert.j_r)
-        lower_s = min(bspace_lower_bound(x, sv, P, B), upper_s)
+        # br_s.lower is already min(bspace_lower_bound(x, ...), cert.j_fx)
+        lower_s = min(br_s.lower, upper_s)
         lower_o = min(bspace_lower_bound(evaluate(f, ov), ov, P, B), upper_o)
         empirical = max(empirical, lower_o - upper_s, lower_s - upper_o, 0.0)
     passed = (

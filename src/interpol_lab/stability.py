@@ -65,7 +65,8 @@ def eta_constant(theta_star: float) -> float:
     if not (0.0 < theta_star < 1.0):
         raise ArgumentError("theta* must lie in (0, 1)")
     x = math.exp(theta_star)
-    return max(1.0 / (x - 1.0), 1.0 / (E - x))
+    # below ~1.1e-16 exp rounds to 1.0; expm1 keeps the divisor nonzero
+    return max(1.0 / ((x - 1.0) or math.expm1(theta_star)), 1.0 / (E - x))
 
 
 @dataclass(frozen=True)

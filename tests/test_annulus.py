@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interpol_lab import annulus
 from interpol_lab.annulus import (
     AnnulusPoint,
     LaurentElement,
@@ -27,6 +28,8 @@ from interpol_lab.annulus import (
 )
 from interpol_lab.errors import ArgumentError
 from interpol_lab.spaces import BanachCouple, WeightedSpace
+
+from oracles import OracleBspaceObjective, bspace_objective_oracle
 
 E = math.e
 INF = math.inf
@@ -252,6 +255,61 @@ def test_bspace_norm_brute_force_dim1():
         best = min(best, jn(a + 1j * bq, c + 1j * dq))
     assert br.upper <= best + 1e-9
     assert br.lower <= br.upper
+
+
+def test_bspace_objective_matches_oracle():
+    # the precomputed objective repeats the per-call oracle bit for bit; a
+    # central difference along a random direction checks the gradient
+    rng = np.random.default_rng(17)
+    exps = (1.0, 2.0, INF)
+    sv = 1.6 + 0.3j
+    for q0, q1, p0, p1 in itertools.product(exps, repeat=4):
+        # (1, 4) puts the anchor at n = 1, where s^n is not 1
+        for lo, hi in ((-1, 1), (-4, 4), (-8, 8), (1, 4)):
+            window = np.arange(lo, hi + 1)
+            anchor = int(np.argmin(np.abs(window)))
+            ewts = np.exp(window.astype(float))
+            for d in (1, 2, 3):
+                w0 = np.exp(rng.uniform(-1.5, 1.5, d))
+                w1 = np.exp(rng.uniform(-1.5, 1.5, d))
+                B = BanachCouple(WeightedSpace(p0, w0), WeightedSpace(p1, w1))
+                P = PseudolatticeCouple(q0, q1)
+                x = rng.normal(size=d) + 1j * rng.normal(size=d)
+                for mu in (64.0, 512.0):
+                    objective = annulus._BspaceObjective(x, sv, window, anchor, P, B, mu)
+                    args = (x, sv, window, d, anchor, w0, p0, w1, p1, q0, q1, ewts, mu)
+                    z = rng.normal(size=2 * (len(window) - 1) * d)
+                    F, grad = objective(z)
+                    F_ref, grad_ref = bspace_objective_oracle(z, *args)
+                    assert F == F_ref
+                    assert np.array_equal(grad, grad_ref)
+                    v = rng.normal(size=z.size)
+                    h = 1e-6
+                    fd = (objective(z + h * v)[0] - objective(z - h * v)[0]) / (2.0 * h)
+                    assert fd == pytest.approx(grad @ v, abs=1e-5 * np.linalg.norm(grad) * np.linalg.norm(v))
+
+
+def test_bspace_norm_bit_for_bit_with_oracle_objective(monkeypatch):
+    rng = np.random.default_rng(23)
+    exps = (1.0, 2.0, INF)
+    corpus = []
+    for k, window in enumerate(((-1, 1), (-2, 3), (-4, 4), (-3, 1), (1, 3), (-5, -2)) * 2 + ((-8, 8),)):
+        d = 1 + k % 3
+        B = BanachCouple(
+            WeightedSpace(exps[k % 3], np.exp(rng.uniform(-1.5, 1.5, d))),
+            WeightedSpace(exps[(k // 3) % 3], np.exp(rng.uniform(-1.5, 1.5, d))),
+        )
+        P = PseudolatticeCouple(exps[(k + 1) % 3], exps[(k // 2) % 3])
+        s = cmath.rect(math.exp(rng.uniform(0.1, 0.9)), rng.uniform(-math.pi, math.pi))
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        corpus.append((x, s, P, B, window))
+    fast = [bspace_norm(x, s, P, B, support=w) for x, s, P, B, w in corpus]
+    monkeypatch.setattr(annulus, "_BspaceObjective", OracleBspaceObjective)
+    for (x, s, P, B, w), (br, rep) in zip(corpus, fast):
+        br_ref, rep_ref = bspace_norm(x, s, P, B, support=w)
+        assert (br.lower, br.upper) == (br_ref.lower, br_ref.upper)
+        assert rep.lo == rep_ref.lo
+        assert np.array_equal(rep.coeffs, rep_ref.coeffs)
 
 
 def test_bspace_lower_bound_is_below_any_representation():

@@ -256,6 +256,17 @@ def test_config_loader_matches_safe_load():
     assert got[0] == "1.0e308" and got[4] == 16
 
 
+def test_sweep_at_theta_below_exp_resolution_exits_zero(tmp_path):
+    # exp(theta) rounds to 1.0 at both small points: eta must not divide by zero
+    data = yaml.safe_load((CONFIGS / "shear_sweep.yaml").read_text())
+    data["functor"]["theta_grid"] = [5.0e-324, 1.0e-308, 0.5]
+    data["output"]["dir"] = str(tmp_path / "out")
+    assert main(["sweep", "--config", write_cfg(tmp_path, data)]) == EXIT_PASS
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [v["name"] for v in report["verdicts"]] == ["FACTOR2", "RADIUS"]
+    assert [r["theta"] for r in report["data"]["sweep"]["records"]] == [5.0e-324, 1.0e-308, 0.5]
+
+
 def test_zero_theta_step_exits_two(tmp_path, capsys):
     data = identity_sweep_cfg(tmp_path / "o")
     data["functor"]["theta_grid"]["step"] = 0

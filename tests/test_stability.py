@@ -52,6 +52,15 @@ def test_eta_equals_delta_at_exponential():
         assert eta_constant(th) == pytest.approx(delta_constant(math.exp(th)), rel=1e-14)
 
 
+def test_eta_below_exp_resolution_is_finite():
+    # exp(1e-308) rounds to 1.0, so exp(theta) - 1 is 0.0; expm1 is the divisor
+    assert math.exp(1e-308) == 1.0
+    assert eta_constant(1e-308) == pytest.approx(1e308, rel=1e-15)
+    for th in (1e-15, 1e-8, 0.1, 0.5, 0.99):
+        x = math.exp(th)
+        assert eta_constant(th) == max(1.0 / (x - 1.0), 1.0 / (E - x))
+
+
 def test_stability_radius_annulus_value():
     T = identity_operator()
     s = AnnulusPoint(math.exp(0.5))
