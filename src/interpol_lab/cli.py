@@ -8,7 +8,8 @@ Commands: kfun, norm, sweep, cancel, distance, solve-analytic,
 lattice-sweep, spectrum, verify-all.
 
 Exit codes: 0 all verdicts pass; 1 at least one verdict failed (witness in
-the report); 2 input or configuration error; 3 solver precision failure.
+the report); 2 input or configuration error; 3 solver precision failure
+(a bracket that cannot be certified, or an SVD that does not converge).
 Reports are a single JSON document (identical across reruns with the same
 config and seed, apart from the timestamp field) plus optional CSV plot
 data with fixed columns.
@@ -601,7 +602,7 @@ def main(argv=None) -> int:
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PrecisionError as exc:
+    except (PrecisionError, np.linalg.LinAlgError) as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except SingularOperatorError as exc:

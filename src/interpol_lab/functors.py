@@ -22,6 +22,7 @@ reports a measured equivalence ratio for the real method.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,6 +32,7 @@ from .brackets import NormBracket, exact
 from .report import CheckReport
 from .errors import ArgumentError, PrecisionError
 from .spaces import (
+    _PROFILE_LOCK,
     INF,
     BanachCouple,
     KProfile,
@@ -124,12 +126,16 @@ class FunctorFamily:
 # real-method norm via certified envelope quadrature
 
 
-def _power_integral(a: np.ndarray, b: np.ndarray, e: float) -> np.ndarray:
-    """int_a^b t^(e-1) dt for 0 < a <= b, stable in log space."""
-    la, lb = np.log(a), np.log(b)
+def _log_power_integral(la, lb, e: float):
+    """int_a^b t^(e-1) dt for 0 < a <= b from la = log a and lb = log b."""
     if abs(e) < 1e-9:
         return (lb - la) * np.exp(e * 0.5 * (la + lb))
     return np.exp(e * la) * np.expm1(e * (lb - la)) / e
+
+
+def _power_integral(a: np.ndarray, b: np.ndarray, e: float) -> np.ndarray:
+    """int_a^b t^(e-1) dt for 0 < a <= b, stable in log space."""
+    return _log_power_integral(np.log(a), np.log(b), e)
 
 
 def trivial_couple_constant(theta: float, q: float) -> float:
@@ -183,67 +189,93 @@ def _chords(ts, Klo):
     return a, b
 
 
-def _affine_power_integral(a, b, A, B, theta, q):
-    """int_a^b t^(-theta q - 1) (A + B t)^q dt for q in {1, 2}, closed form."""
+def _affine_power_integral(la, lb, A, B, theta, q):
+    """int_a^b t^(-theta q - 1) (A + B t)^q dt for q in {1, 2}, closed form,
+    from la = log a and lb = log b."""
     if q == 1.0:
-        return A * _power_integral(a, b, -theta) + B * _power_integral(a, b, 1.0 - theta)
+        return A * _log_power_integral(la, lb, -theta) + B * _log_power_integral(la, lb, 1.0 - theta)
     e = -2.0 * theta
     return (
-        A * A * _power_integral(a, b, e)
-        + 2.0 * A * B * _power_integral(a, b, e + 1.0)
-        + B * B * _power_integral(a, b, e + 2.0)
+        A * A * _log_power_integral(la, lb, e)
+        + 2.0 * A * B * _log_power_integral(la, lb, e + 1.0)
+        + B * B * _log_power_integral(la, lb, e + 2.0)
     )
 
 
-def _window_bracket(ts, Klo, Khi, theta, q):
-    """Bracket of the norm's part inside the window [ts[0], ts[-1]].
+class _Cells:
+    """The theta-independent geometry of one profile level's cells.
 
-    For q = inf the sup of t^-theta K over the window; otherwise the
-    integral of (t^-theta K)^q dt/t, not yet raised to 1/q.  On every cell
-    the monotone envelopes of "K nondecreasing, K(t)/t nonincreasing" bound
-    K; the upper one, min(Khi_(k+1), Khi_k t / t_k), kinks at t_up.  For q in
-    {1, 2, inf} the two-sided concave tangents cut the upper end to O(h^2),
-    and for q in {1, 2} the chords lift the lower end.
+    On every cell the monotone envelopes of "K nondecreasing, K(t)/t
+    nonincreasing" bound K; the upper one, min(Khi_(k+1), Khi_k t / t_k),
+    kinks at t_up and the lower one at t_lo.  The two-sided concave tangents
+    (crossing at tx) cut the upper end to O(h^2), and the chords lift the
+    lower end.  All of it depends on K alone, so it is built once per
+    (profile, level, grid kind) and every (theta, q) reduction reuses it.
+    ``sup`` cells (q = inf) keep what the sup reads: t_up and tx with the
+    envelope and the tangent minimum there.  The others keep the logs of
+    every cell end, because the integrals are taken in log space.
     """
-    tl, tr = ts[:-1], ts[1:]
-    kl_lo, kr_lo = Klo[:-1], Klo[1:]
-    kl_hi, kr_hi = Khi[:-1], Khi[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_up = np.where(kl_hi > 0, tl * kr_hi / np.where(kl_hi > 0, kl_hi, 1.0), tl)
-    t_up = np.clip(t_up, tl, tr)
-    if q in (1.0, 2.0, INF):
+
+    def __init__(self, ts, Klo, Khi, sup: bool):
+        self.ts, self.Klo, self.Khi = ts, Klo, Khi
+        tl, tr = ts[:-1], ts[1:]
+        kl_hi, kr_hi = Khi[:-1], Khi[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_up = np.where(kl_hi > 0, tl * kr_hi / np.where(kl_hi > 0, kl_hi, 1.0), tl)
+        t_up = np.clip(t_up, tl, tr)
         al, bl, ar, br = _tangent_lines(ts, Klo, Khi)
         tx = _tangent_crossings(ts, al, bl, ar, br)
+        if sup:
+            self.t_up, self.tx = t_up, tx
+            self.env_up = np.minimum(kr_hi, np.where(tl > 0, kl_hi * t_up / tl, kr_hi))
+            self.tan_x = np.minimum(al + bl * tx, ar + br * tx)
+            return
+        kl_lo, kr_lo = Klo[:-1], Klo[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lo = np.where(kr_lo > 0, tr * kl_lo / np.where(kr_lo > 0, kr_lo, 1.0), tr)
+        t_lo = np.clip(t_lo, tl, tr)
+        # one log of t_up serves both envelope pieces: t_up is already
+        # clipped to [t_l, t_r], so max(t_up, t_l) is t_up
+        self.log_ts, self.log_up, self.log_lo, self.log_tx = (np.log(a) for a in (ts, t_up, t_lo, tx))
+        self.tangents = al, bl, ar, br
+        self.chords = _chords(ts, Klo)
 
-    if q == INF:
-        at_left = kl_hi * tl ** (-theta)
-        env = np.minimum(kr_hi, np.where(tl > 0, kl_hi * t_up / tl, kr_hi))
-        cell_sup = np.maximum(env * t_up ** (-theta), at_left)
-        # t^-theta (A + B t) is largest at the cell ends or at the line
-        # crossing, so three evaluations bound the cell sup
-        at_cross = np.minimum(al + bl * tx, ar + br * tx) * tx ** (-theta)
-        tan_sup = np.maximum.reduce([at_left, kr_hi * tr ** (-theta), at_cross])
-        up = float(np.max(np.minimum(cell_sup, tan_sup)))
-        return float(np.max(Klo * ts ** (-theta))), up
 
+def _sup_window(c: _Cells, theta):
+    """(lo, up) of the sup of t^-theta K over the window."""
+    at_node = c.ts ** (-theta)
+    at_left = c.Khi[:-1] * at_node[:-1]
+    cell_sup = np.maximum(c.env_up * c.t_up ** (-theta), at_left)
+    # t^-theta (A + B t) is largest at the cell ends or at the line
+    # crossing, so three evaluations bound the cell sup
+    at_cross = c.tan_x * c.tx ** (-theta)
+    tan_sup = np.maximum.reduce([at_left, c.Khi[1:] * at_node[1:], at_cross])
+    up = float(np.max(np.minimum(cell_sup, tan_sup)))
+    return float(np.max(c.Klo * at_node)), up
+
+
+def _integral_window(c: _Cells, theta, q):
+    """(lo, up) of the integral of (t^-theta K)^q dt/t over the window, not
+    yet raised to 1/q; the tangents and chords tighten it for q in {1, 2}."""
+    tl, tr = c.ts[:-1], c.ts[1:]
+    kl_lo, kr_lo = c.Klo[:-1], c.Klo[1:]
+    kl_hi, kr_hi = c.Khi[:-1], c.Khi[1:]
+    ltl, ltr = c.log_ts[:-1], c.log_ts[1:]
     a0 = -q * theta            # exponent of the constant-K pieces
     a1 = q * (1.0 - theta)     # exponent of the K ~ t pieces
     up = np.where(
-        kl_hi > 0, (kl_hi / tl) ** q * _power_integral(tl, t_up, a1), 0.0
-    ) + kr_hi**q * _power_integral(np.maximum(t_up, tl), tr, a0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = np.where(kr_lo > 0, tr * kl_lo / np.where(kr_lo > 0, kr_lo, 1.0), tr)
-    t_lo = np.clip(t_lo, tl, tr)
-    lo = kl_lo**q * _power_integral(tl, t_lo, a0) + np.where(
-        kr_lo > 0, (kr_lo / tr) ** q * _power_integral(t_lo, tr, a1), 0.0
+        kl_hi > 0, (kl_hi / tl) ** q * _log_power_integral(ltl, c.log_up, a1), 0.0
+    ) + kr_hi**q * _log_power_integral(c.log_up, ltr, a0)
+    lo = kl_lo**q * _log_power_integral(ltl, c.log_lo, a0) + np.where(
+        kr_lo > 0, (kr_lo / tr) ** q * _log_power_integral(c.log_lo, ltr, a1), 0.0
     )
     if q in (1.0, 2.0):
-        a_ch, b_ch = _chords(ts, Klo)
-        lo = np.maximum(lo, _affine_power_integral(tl, tr, a_ch, b_ch, theta, q))
+        al, bl, ar, br = c.tangents
+        lo = np.maximum(lo, _affine_power_integral(ltl, ltr, *c.chords, theta, q))
         up = np.minimum(
             up,
-            _affine_power_integral(tl, tx, al, bl, theta, q)
-            + _affine_power_integral(tx, tr, ar, br, theta, q),
+            _affine_power_integral(ltl, c.log_tx, al, bl, theta, q)
+            + _affine_power_integral(c.log_tx, ltr, ar, br, theta, q),
         )
     return float(np.sum(lo)), float(np.sum(np.maximum(up, lo)))
 
@@ -253,8 +285,8 @@ def _tail_bracket(ts, Klo, Khi, theta, q, n0, n1):
 
     n0 and n1 bound K(t) and K(t)/t: right of t_max, Klo[-1] <= K <=
     min(n0, Khi[-1] t / t_max); left of t_min, Klo[0] t / t_min <= K <=
-    min(Khi[0], n1 t).  The parts combine as in :func:`_window_bracket`:
-    a sup for q = inf, integrals of q-th powers otherwise.
+    min(Khi[0], n1 t).  The parts combine as in the window: a sup for
+    q = inf, integrals of q-th powers otherwise.
     """
     t_min, t_max = ts[0], ts[-1]
     if q == INF:
@@ -278,15 +310,22 @@ def _tail_bracket(ts, Klo, Khi, theta, q, n0, n1):
     return (right_lo, right_up), (left_lo, left_up)
 
 
-def _real_bracket(ts, Klo, Khi, theta, q, ends=None):
-    """(lo, up) of the real (theta, q) norm from one profile level.
+def _real_bracket(cells: _Cells, theta, q, ends=None):
+    """(lo, up) of the real (theta, q) norm from one profile level's cells.
 
     With the endpoint bounds ``ends`` = (n0, n1) the window bracket is
     joined with the tail bracket; without them it is the windowed norm.
     """
-    lo, up = _window_bracket(ts, Klo, Khi, theta, q)
-    no_tails = ((0.0, 0.0), (0.0, 0.0))
-    tails = no_tails if ends is None else _tail_bracket(ts, Klo, Khi, theta, q, *ends)
+    if q == INF:
+        lo, up = _sup_window(cells, theta)
+    else:
+        lo, up = _integral_window(cells, theta, q)
+    tails = ((0.0, 0.0), (0.0, 0.0))
+    if ends is not None:
+        try:
+            tails = _tail_bracket(cells.ts, cells.Klo, cells.Khi, theta, q, *ends)
+        except OverflowError:
+            raise PrecisionError("real norm tail bound overflows") from None
     (r_lo, r_up), (l_lo, l_up) = tails
     if q == INF:
         return max(lo, r_lo, l_lo), max(up, r_up, l_up)
@@ -296,25 +335,51 @@ def _real_bracket(ts, Klo, Khi, theta, q, ends=None):
 _ROUNDOFF_PAD = 1e-12
 
 
+def _finite(lo: float, up: float) -> NormBracket:
+    if not (math.isfinite(lo) and math.isfinite(up)):
+        raise PrecisionError(f"real norm bracket ({lo}, {up}) is not finite")
+    return NormBracket(lo, up)
+
+
 def _padded(lo: float, up: float) -> NormBracket:
-    return NormBracket(lo * (1.0 - _ROUNDOFF_PAD), up * (1.0 + _ROUNDOFF_PAD))
+    return _finite(lo * (1.0 - _ROUNDOFF_PAD), up * (1.0 + _ROUNDOFF_PAD))
 
 
 def _peak_abscissae(ts, Klo, Khi):
     return _tangent_crossings(ts, *_tangent_lines(ts, Klo, Khi))
 
 
-def _level(profile: KProfile, level: int, q):
-    """(ts, Klo, Khi) of a profile level for the (theta, q) reductions.
-
-    The sup of t^-theta K is often attained between nodes (near kinks of
-    K); for q = inf the tangent-crossing abscissae are inserted so the grid
-    lower bound reaches the peak to O(h^2).  They depend on K alone, so the
-    profile keeps the augmented grid for every theta.
+class _CellSlot:
+    """The cells of the most recently reduced profile: every level, both grid
+    kinds.  Reducing another profile drops them, so one profile's cells are
+    held at a time however many profiles the couples keep.
     """
-    if q == INF:
-        return profile.augmented(level, _peak_abscissae)
-    return profile.brackets(level)
+
+    def __init__(self):
+        self._owner = None     # weak reference to the profile
+        self._cells = {}
+
+    def get(self, profile: KProfile, level: int, sup: bool) -> _Cells:
+        """The cells of a profile level; for q = inf (``sup``) the grid is
+        the level's with the tangent-crossing abscissae inserted.
+
+        The sup of t^-theta K is often attained between nodes (near kinks of
+        K), so the inserted nodes let the grid lower bound reach the peak to
+        O(h^2).  They depend on K alone, so the profile keeps the augmented
+        grid for every theta.
+        """
+        with _PROFILE_LOCK:
+            if self._owner is None or self._owner() is not profile:
+                self._owner, self._cells = weakref.ref(profile), {}
+            key = (level, sup)
+            cells = self._cells.get(key)
+            if cells is None:
+                grid = profile.augmented(level, _peak_abscissae) if sup else profile.brackets(level)
+                cells = self._cells[key] = _Cells(*grid, sup)
+            return cells
+
+
+_CELLS = _CellSlot()
 
 
 def _unit_profile(x, couple: BanachCouple, cfg: Optional[QuadratureConfig]):
@@ -328,7 +393,7 @@ def _unit_profile(x, couple: BanachCouple, cfg: Optional[QuadratureConfig]):
 
 
 def _scaled(bracket: NormBracket, e: int) -> NormBracket:
-    return NormBracket(float(np.ldexp(bracket.lower, e)), float(np.ldexp(bracket.upper, e)))
+    return _finite(float(np.ldexp(bracket.lower, e)), float(np.ldexp(bracket.upper, e)))
 
 
 def real_norm(
@@ -359,7 +424,7 @@ def real_norm(
     ends = (couple.space0.norm(m), couple.space1.norm(m))
 
     def at(level):
-        return _padded(*_real_bracket(*_level(profile, level, q), theta, q, ends))
+        return _padded(*_real_bracket(_CELLS.get(profile, level, q == INF), theta, q, ends))
 
     level, bracket = 0, at(0)
     while rtol is not None and bracket.relative_width > rtol and level < max_refinements:
@@ -382,7 +447,7 @@ def windowed_real_norm(
     if unit is None:
         return NormBracket(0.0, 0.0)
     profile, _, e = unit
-    return _scaled(_padded(*_real_bracket(*_level(profile, 0, q), theta, q)), e)
+    return _scaled(_padded(*_real_bracket(_CELLS.get(profile, 0, q == INF), theta, q)), e)
 
 
 # ---------------------------------------------------------------------------
@@ -673,5 +738,5 @@ def _iterated_real_estimate(x, couple, theta0, theta1, lam, q, cfg):
     Klo, Khi = enforce_monotone(kvals.copy(), kvals.copy(), ts)
     # beyond the window the profile stays at its edge values: K(t_max) to
     # the right, the slope K(t_min) / t_min to the left
-    _, up = _real_bracket(ts, Klo, Khi, lam, q, (Khi[-1], Khi[0] / ts[0]))
+    _, up = _real_bracket(_Cells(ts, Klo, Khi, q == INF), lam, q, (Khi[-1], Khi[0] / ts[0]))
     return up / trivial_couple_constant(lam, q)

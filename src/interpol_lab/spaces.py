@@ -730,6 +730,11 @@ def enforce_monotone(Klo: np.ndarray, Khi: np.ndarray, ts: Optional[np.ndarray] 
 
 
 PROFILE_MEMO_SIZE = 8
+# Guards the mutable profile state that calls from several threads would
+# share: each couple's profile memo, each profile's refined store and
+# off-grid nodes, and the cell slot of ``functors`` (the per-level cells
+# of the profile reduced last).  Reentrant, because building cells refines
+# the profile under it.
 _PROFILE_LOCK = threading.RLock()
 
 

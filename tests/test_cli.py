@@ -267,6 +267,22 @@ def test_sweep_at_theta_below_exp_resolution_exits_zero(tmp_path):
     assert [r["theta"] for r in report["data"]["sweep"]["records"]] == [5.0e-324, 1.0e-308, 0.5]
 
 
+@pytest.mark.parametrize("command", ["sweep", "spectrum", "solve-analytic"])
+def test_subnormal_weight_svd_failure_exits_three(tmp_path, capsys, command):
+    # the e^4 weight replaced by the smallest subnormal: numpy's SVD does not converge
+    data = yaml.safe_load((CONFIGS / "shear_sweep.yaml").read_text())
+    data["problem"]["domain"]["space1"]["weights"][0] = 5.0e-324
+    data["output"]["dir"] = str(tmp_path / "out")
+    if command == "spectrum":
+        data["functor"] = {"method": "real", "q": 2}
+        data["resolvent"] = {"lambdas": [0.5], "thetas": [0.25, 0.75]}
+    if command == "solve-analytic":
+        del data["functor"]
+        data["annulus"] = analytic_cfg("unused", [[1.0, 1.0]])["annulus"]
+    assert main([command, "--config", write_cfg(tmp_path, data)]) == cli.EXIT_PRECISION
+    assert "SVD did not converge" in capsys.readouterr().err
+
+
 def test_zero_theta_step_exits_two(tmp_path, capsys):
     data = identity_sweep_cfg(tmp_path / "o")
     data["functor"]["theta_grid"]["step"] = 0

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interpol_lab.errors import ArgumentError
+from interpol_lab import functors
+from interpol_lab.errors import ArgumentError, PrecisionError
 from interpol_lab.functors import (
     FunctorFamily,
     FunctorSpec,
@@ -103,6 +106,89 @@ def test_real_norm_sup_below_q1_on_samples():
         inf_b = real_norm(x, C, 0.35, INF)
         one_b = real_norm(x, C, 0.35, 1.0)
         assert inf_b.lower <= one_b.upper * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, INF])
+def test_real_norm_overflow_near_float_limit_raises_precision_error(q):
+    # the tail bound overflows Python floats at q = 2, 3 and the bracket is
+    # infinite at q = 1, inf; neither is a configuration error
+    C = couple([1.0, 1e308], 2, [1.0, 2.0], 1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PrecisionError):
+        real_norm([1.0, 1.0], C, 0.5, q)
+
+
+# ------------------------------------------------------- the per-level cells
+
+MEMO_X = [1.0, -0.5 + 0.25j, 2.0]
+MEMO_OTHER = [0.3, 1.0, -1.0j]
+MEMO_KEYS = [(theta, q) for q in (1.0, 1.5, 2.0, 3.0, INF) for theta in (0.2, 0.5, 0.8)]
+
+
+def memo_couple():
+    return couple([1.0, 3.0, 0.5], 2, [2.0, 0.3, 1.5], 2)
+
+
+def bits(bracket):
+    return bracket.lower.hex(), bracket.upper.hex()
+
+
+def memo_outcome(C, theta, q):
+    """The real-norm bracket or the one its PrecisionError carries, with the
+    windowed bracket."""
+    windowed = bits(windowed_real_norm(MEMO_X, C, theta, q))
+    try:
+        return "ok", bits(real_norm(MEMO_X, C, theta, q, rtol=1e-4, max_refinements=2)), windowed
+    except PrecisionError as exc:
+        return "raised", bits(exc.bracket), windowed
+
+
+def test_cell_memo_answers_bit_for_bit():
+    fresh = {key: memo_outcome(memo_couple(), *key) for key in MEMO_KEYS}
+    assert {kind for kind, _, _ in fresh.values()} == {"ok", "raised"}
+
+    C = memo_couple()
+    evicted = {}
+    for key in MEMO_KEYS:
+        evicted[key] = memo_outcome(C, *key)
+        real_norm(MEMO_OTHER, C, 0.5, 2.0, rtol=1e-4, max_refinements=2)  # takes the slot
+        real_norm(MEMO_X, memo_couple(), 0.3, INF)  # an equal profile of another couple
+    assert evicted == fresh
+
+    C = memo_couple()
+    assert {key: memo_outcome(C, *key) for key in reversed(MEMO_KEYS)} == fresh
+
+    # the bracket a PrecisionError carries is the one returned at its width
+    C = memo_couple()
+    for key in MEMO_KEYS:
+        with pytest.raises(PrecisionError) as err:
+            real_norm(MEMO_X, C, *key, rtol=1e-13, max_refinements=2)
+        carried = err.value.bracket
+        if fresh[key][0] == "raised":
+            assert bits(carried) == fresh[key][1]
+        again = real_norm(MEMO_X, memo_couple(), *key, rtol=carried.relative_width, max_refinements=2)
+        assert bits(again) == bits(carried)
+
+
+def test_cell_slot_holds_one_profile():
+    C = memo_couple()
+    profile = functors._unit_profile(MEMO_X, C, None)[0]
+    for q in (2.0, INF):
+        with pytest.raises(PrecisionError):
+            real_norm(MEMO_X, C, 0.5, q, rtol=1e-13, max_refinements=1)
+    cells = [functors._CELLS.get(profile, level, sup) for level in (0, 1) for sup in (False, True)]
+    # every theta and q of the profile reads the same cells
+    for theta in (0.2, 0.8):
+        real_norm(MEMO_X, C, theta, 1.0)
+        real_norm(MEMO_X, C, theta, INF)
+    assert functors._CELLS.get(profile, 0, False) is cells[0]
+    assert functors._CELLS.get(profile, 0, True) is cells[1]
+    refs = [weakref.ref(c) for c in cells]
+    del cells
+
+    real_norm(MEMO_OTHER, C, 0.5, 2.0)
+    gc.collect()
+    assert C._profiles  # the first profile is still memoised on the couple
+    assert [r() for r in refs] == [None] * 4
 
 
 # ----------------------------------------------------------------- Calderon

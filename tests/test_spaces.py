@@ -177,6 +177,17 @@ def test_k_functional_certificates_and_oracle(p0, p1):
         assert ev.value <= min(C.space0.norm(x), t * C.space1.norm(x)) + 1e-12
 
 
+def test_grid_k_oracle_keeps_the_minimiser_its_zoom_loses():
+    # the zoom alone stops 1.05e-3 above K on this dim-3 (2, 4) couple
+    C = couple(
+        [1.8381660319512134, 0.7956756803939709, 1.4301593863586466], 2,
+        [0.5680653582249924, 0.8405468364182145, 3.3592646309897414], 4,
+    )
+    x = [0.838396322741067, 1.0075325610597747, 2.9351107132561713]
+    oracle = grid_k_oracle(1.0, x, C)
+    assert 4.50341458587 * (1 - 1e-8) <= oracle <= 4.50341458588 * (1 + 1e-8)
+
+
 def test_k_monotonicity_in_t():
     rng = np.random.default_rng(3)
     C = couple([1.0, 4.0, 0.3], 2, [2.0, 0.5, 1.0], 2)
