@@ -11,10 +11,18 @@ The value space at a point s of the annulus carries the norm
 
     ||x||_s = inf { j_norm(b) : sum s^n b_n = x },
 
-computed here as a certified bracket.  Its upper end minimises a smoothed
-j_norm over one support window with one objective, ``_BspaceObjective``,
-built once per minimisation from everything that does not depend on the
-iterate.
+computed here as a certified bracket.  Every coefficient space is a
+weighted lattice, so j_norm sees only the magnitudes m_{n,i} = |b_{n,i}|,
+and aligning phases reduces the norm to a real problem in m >= 0:
+
+    ||x||_s = min { j(m) : sum_n |s|^n m_{n,i} = |x_i| for every i },
+
+which depends on |s| and |x| alone.  The upper end minimises a smoothed j(m)
+over one support window and returns the representation
+
+    b_{n,i} = m_{n,i} * phase(x_i) * (conj(s)/|s|)^n,
+
+with phase(x_i) = x_i/|x_i|, and 1 where x_i = 0; it evaluates to x at s.
 
 Division of a representation that vanishes at s by (z - s) is exact on
 finite supports:
@@ -278,13 +286,6 @@ def bspace_lower_bound(x, s, P: PseudolatticeCouple, B: BanachCouple) -> float:
     return best
 
 
-_SMOOTH_EPS = 1e-18
-
-
-def _smooth_exponent(p: float, mu: float) -> float:
-    return mu if p == INF else p
-
-
 def _pnorm_and_grad(v: np.ndarray, p: float):
     """(value, d value / d v) of the l^p norm of a nonnegative vector."""
     top = float(np.maximum.reduce(v))
@@ -315,63 +316,37 @@ def _rowwise_pnorm_and_grad(M: np.ndarray, p: float):
     return val, grad
 
 
-class _BspaceObjective:
-    """Smoothed representation norm and gradient over the free coefficients.
+def _magnitudes(z, xa, s_pow):
+    """(m, U, D) for the (W * d) iterate z: U = exp(z) per column, shifted by
+    the column max so that D never underflows, D_i = sum_n |s|^n U_{n,i} and
+    m = |x| U / D, so sum_n |s|^n m_{n,i} = |x_i| holds at every iterate."""
+    Z = z.reshape(s_pow.shape[0], xa.size)
+    U = np.exp(Z - np.maximum.reduce(Z, axis=0))
+    D = np.add.reduce(s_pow * U, axis=0)
+    return xa * U / D, U, D
 
-    The anchor coefficient is eliminated through the evaluation constraint,
-    so every point is feasible; infinite exponents are replaced by mu.  The
-    iterate z holds the real parts of the free coefficients, then their
-    imaginary parts.  Everything that does not depend on z is built here,
-    once per minimisation.
-    """
 
-    def __init__(self, x, sv, window, anchor_idx, P: PseudolatticeCouple, B: BanachCouple, mu):
-        W, d = len(window), x.size
-        self.x, self.W, self.d, self.n = x, W, d, (W - 1) * d
-        self.anchor = anchor_idx
-        self.free = np.delete(np.arange(W), anchor_idx)
-        s_pow = sv ** window.astype(float)
-        self.s_free = s_pow[self.free]
-        self.s_anchor = s_pow[anchor_idx]
-        self.ratio = (self.s_free / self.s_anchor).conj()[:, None]
-        self.w0 = B.space0.weights[None, :]
-        self.w1 = B.space1.weights[None, :]
-        self.ewts = np.exp(window.astype(float))
-        self.mu = mu
-        self.p0, self.p1, self.q0, self.q1 = (
-            _smooth_exponent(e, mu) for e in (B.space0.p, B.space1.p, P.q0, P.q1)
-        )
+def _magnitude_objective(xa, s_pow, window, P: PseudolatticeCouple, B: BanachCouple, mu):
+    """Smoothed j_norm of the magnitudes ``_magnitudes(z)`` with its gradient
+    in z; infinite exponents are replaced by mu."""
+    w0 = B.space0.weights[None, :]
+    w1 = B.space1.weights[None, :]
+    ewts = np.exp(window.astype(float))
+    p0, p1, q0, q1 = (mu if e == INF else e for e in (B.space0.p, B.space1.p, P.q0, P.q1))
 
-    def coefficients(self, z) -> np.ndarray:
-        """The (W, d) coefficients of the window: free rows from z, the anchor
-        row from the evaluation constraint."""
-        n = self.n
-        zc = (z[:n] + 1j * z[n:]).reshape(self.W - 1, self.d)
-        coeffs = np.zeros((self.W, self.d), dtype=complex)
-        coeffs[self.free] = zc
-        coeffs[self.anchor] = (self.x - self.s_free @ zc) / self.s_anchor
-        return coeffs
+    def objective(z):
+        m, U, D = _magnitudes(z, xa, s_pow)
+        c0, g0 = _rowwise_pnorm_and_grad(w0 * m, p0)
+        c1, g1 = _rowwise_pnorm_and_grad(w1 * m, p1)
+        S0, dS0 = _pnorm_and_grad(c0, q0)
+        S1, dS1 = _pnorm_and_grad(ewts * c1, q1)
+        F, dF = _pnorm_and_grad(np.array([S0, S1]), mu)
+        # G = dF/dm, then dF/dU = (|x|/D) (G - |s|^n sum_n G U / D) and dU/dz = U
+        G = dF[0] * dS0[:, None] * g0 * w0 + dF[1] * (dS1 * ewts)[:, None] * g1 * w1
+        dU = (xa / D) * (G - s_pow * (np.add.reduce(G * U, axis=0) / D))
+        return F, (dU * U).ravel()
 
-    def __call__(self, z):
-        coeffs = self.coefficients(z)
-        w0, w1, ewts = self.w0, self.w1, self.ewts
-        mags = np.sqrt(np.abs(coeffs) ** 2 + _SMOOTH_EPS)
-        c0, g0 = _rowwise_pnorm_and_grad(w0 * mags, self.p0)
-        c1, g1 = _rowwise_pnorm_and_grad(w1 * mags, self.p1)
-
-        S0, dS0 = _pnorm_and_grad(c0, self.q0)
-        S1, dS1 = _pnorm_and_grad(ewts * c1, self.q1)
-        F, dF = _pnorm_and_grad(np.array([S0, S1]), self.mu)
-        if F == 0.0:
-            return 0.0, np.zeros_like(z)
-
-        # back-propagate to the coefficient magnitudes
-        dmag = dF[0] * dS0[:, None] * g0 * w0 + dF[1] * (dS1 * ewts)[:, None] * g1 * w1
-        dcoeff = dmag * coeffs / mags  # complex gradient wrt conj(coeffs), scaled
-        # chain through the anchored coefficient
-        a = self.anchor
-        dfree = dcoeff[self.free] - self.ratio * dcoeff[a : a + 1]
-        return F, np.concatenate((dfree.real, dfree.imag), axis=None)
+    return objective
 
 
 def bspace_norm(
@@ -383,10 +358,13 @@ def bspace_norm(
 ) -> Tuple[NormBracket, LaurentElement]:
     """Certified bracket for ||x||_s with the minimising representation.
 
-    Upper end: the best representation found in the support window (the
-    upper end is nonincreasing as the window widens), via smoothed descent
-    with the evaluation constraint eliminated.  Lower end: the geometric
-    splitting bound, which needs no window.
+    Upper end: j(m) for the best magnitudes m found in the support window by
+    smoothed descent, which is j_norm of the returned representation up to
+    round-off.  The feasible set grows with the window, so exact minimisers
+    give upper ends that never grow as the window widens; a descent answer
+    is not guaranteed to.  Lower end: the geometric splitting bound, which
+    needs no window.  A one-index window forces the representation, and the
+    bracket is its j_norm at both ends.
     """
     sv = s.value if isinstance(s, AnnulusPoint) else complex(s)
     delta_constant(sv)
@@ -394,26 +372,19 @@ def bspace_norm(
     lo, hi = support
     if hi < lo:
         raise ArgumentError("support window is empty")
-    window = np.arange(lo, hi + 1)
-    d = x.size
-    if not np.any(np.abs(x) > 0):
-        zero = LaurentElement(lo, np.zeros((len(window), d), dtype=complex))
-        return NormBracket(0.0, 0.0), zero
-
-    if len(window) == 1:
+    if hi == lo:
         b = LaurentElement(lo, (x * sv ** (-float(lo)))[None, :])
         val = j_norm(b, P, B)
         return NormBracket(val, val), b
 
-    W = len(window)
-    anchor_idx = int(np.argmin(np.abs(window)))
-    spread = np.array([x * sv ** (-float(n)) / W for n in window])
-    zc = np.delete(spread, anchor_idx, axis=0)
-    z = np.concatenate([zc.real.ravel(), zc.imag.ravel()])
+    window = np.arange(lo, hi + 1)
+    xa, s_abs = np.abs(x), abs(sv)
+    s_pow = (s_abs ** window.astype(float))[:, None]
+    # start from equal shares: |s|^n m_{n,i} = |x_i| / W
+    z = np.repeat(-np.log(s_pow), xa.size, axis=1).ravel()
     for mu in (64.0, 512.0):
-        objective = _BspaceObjective(x, sv, window, anchor_idx, P, B, mu)
         res = optimize.minimize(
-            objective,
+            _magnitude_objective(xa, s_pow, window, P, B, mu),
             z,
             jac=True,
             method="L-BFGS-B",
@@ -421,17 +392,13 @@ def bspace_norm(
         )
         z = res.x
 
-    rep = LaurentElement(lo, objective.coefficients(z))
-    best_val = j_norm(rep, P, B)
-
-    # the trivial representation: every free coefficient zero
-    triv = LaurentElement(lo, objective.coefficients(np.zeros_like(z)))
-    triv_val = j_norm(triv, P, B)
-    if triv_val < best_val:
-        best_val, rep = triv_val, triv
-
-    lower = min(bspace_lower_bound(x, sv, P, B), best_val)
-    return NormBracket(lower, best_val), rep
+    m = _magnitudes(z, xa, s_pow)[0]
+    upper = j_norm(LaurentElement(lo, m), P, B)
+    phase_x = np.divide(x, xa, out=np.ones_like(x), where=xa > 0.0)
+    phase_s = (sv.conjugate() / s_abs) ** window
+    rep = LaurentElement(lo, m * phase_s[:, None] * phase_x)
+    lower = min(bspace_lower_bound(x, sv, P, B), upper)
+    return NormBracket(lower, upper), rep
 
 
 # ---------------------------------------------------------------------------

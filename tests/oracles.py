@@ -2,23 +2,17 @@
 
 These deliberately avoid the library's solver paths: the K oracle is a
 zooming grid search over coordinatewise shrinkage factors finished by a
-bounded local descent, the Calderon oracle enumerates factorisations on
-spheres, and the window-representation oracle grids the free coefficients
-directly.  ``scalar_k_oracle`` keeps
-the one-t-at-a-time K solvers that the vectorised K kernel replaced, and
-``full_sup_budget_search`` the (p, inf) solver before its search stopped
-at its fixed point.  ``bspace_objective_oracle`` is the value-space
-objective with its set-up recomputed per call, and ``OracleBspaceObjective``
-puts it in place of ``annulus._BspaceObjective``.
+bounded local descent, and the Calderon oracle enumerates factorisations on
+spheres.  ``scalar_k_oracle`` keeps the one-t-at-a-time K solvers that the
+vectorised K kernel replaced, and ``full_sup_budget_search`` the (p, inf)
+solver before its search stopped at its fixed point.
 """
 
-import itertools
 import math
 
 import numpy as np
 from scipy import optimize
 
-from interpol_lab.annulus import _SMOOTH_EPS, _smooth_exponent
 from interpol_lab.spaces import (
     INF,
     _dual_lower,
@@ -62,7 +56,7 @@ def grid_k_oracle(t, x, couple, stages=5, pts=25):
     best_lam = None
     for _ in range(stages):
         axes = [np.linspace(lo[i], hi[i], pts) for i in range(d)]
-        grid = np.array(list(itertools.product(*axes)))
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d)
         vals = objective(grid)
         k = int(np.argmin(vals))
         best_val = float(vals[k])
@@ -338,102 +332,3 @@ def full_sup_budget_search(t, m, w0, p0, w1):
     lower = _dual_lower(m, w0, p0, w1, INF, t, cands)
     lower = min(lower, best_val)
     return lower, best_val, 1.0 - np.minimum(1.0, _shares(u, w1 * m))
-
-
-def _pnorm_and_grad(v: np.ndarray, p: float):
-    """(value, d value / d v) of the l^p norm of a nonnegative vector."""
-    top = float(np.max(v))
-    if top <= 0.0:
-        return 0.0, np.zeros_like(v)
-    u = v / top
-    if p == 1.0:
-        return top * float(np.sum(u)), np.ones_like(v)
-    val = top * float(np.sum(u**p)) ** (1.0 / p)
-    grad = (v / val) ** (p - 1.0)
-    return val, grad
-
-
-def _rowwise_pnorm_and_grad(M: np.ndarray, p: float):
-    """Row-by-row l^p norms of a nonnegative matrix, with gradients."""
-    if p == 1.0:
-        return np.sum(M, axis=1), np.ones_like(M)
-    top = np.max(M, axis=1, keepdims=True)
-    safe = np.maximum(top, 1e-300)
-    u = M / safe
-    val = (safe[:, 0]) * np.sum(u**p, axis=1) ** (1.0 / p)
-    vsafe = np.maximum(val, 1e-300)[:, None]
-    grad = (M / vsafe) ** (p - 1.0)
-    zero = top[:, 0] <= 0.0
-    val[zero] = 0.0
-    grad[zero] = 0.0
-    return val, grad
-
-
-def bspace_objective_oracle(z, x, sv, window, d, anchor_idx, w0, p0, w1, p1, q0, q1, ewts, mu):
-    """Smoothed representation norm and gradient over the free coefficients,
-    with every z-independent piece rebuilt on each call.
-
-    The anchor coefficient is eliminated through the evaluation constraint,
-    so every point is feasible; infinite exponents are replaced by mu.
-    """
-    W = len(window)
-    free = np.delete(np.arange(W), anchor_idx)
-    zc = (z[: (W - 1) * d] + 1j * z[(W - 1) * d :]).reshape(W - 1, d)
-    coeffs = np.zeros((W, d), dtype=complex)
-    coeffs[free] = zc
-    s_pow = sv ** window.astype(float)
-    coeffs[anchor_idx] = (x - s_pow[free] @ zc) / s_pow[anchor_idx]
-
-    mags = np.sqrt(np.abs(coeffs) ** 2 + _SMOOTH_EPS)
-    p0s, p1s, q0s, q1s = (
-        _smooth_exponent(p0, mu),
-        _smooth_exponent(p1, mu),
-        _smooth_exponent(q0, mu),
-        _smooth_exponent(q1, mu),
-    )
-    c0, g0 = _rowwise_pnorm_and_grad(w0[None, :] * mags, p0s)
-    c1, g1 = _rowwise_pnorm_and_grad(w1[None, :] * mags, p1s)
-
-    S0, dS0 = _pnorm_and_grad(c0, q0s)
-    S1, dS1 = _pnorm_and_grad(ewts * c1, q1s)
-    F, dF = _pnorm_and_grad(np.array([S0, S1]), mu)
-    if F == 0.0:
-        return 0.0, np.zeros_like(z)
-
-    # back-propagate to the coefficient magnitudes
-    dmag = (
-        dF[0] * dS0[:, None] * g0 * w0[None, :]
-        + dF[1] * (dS1 * ewts)[:, None] * g1 * w1[None, :]
-    )
-    dcoeff = dmag * coeffs / mags  # complex gradient wrt conj(coeffs), scaled
-    # chain through the anchored coefficient
-    ratio = (s_pow[free] / s_pow[anchor_idx]).conj()
-    dfree = dcoeff[free] - ratio[:, None] * dcoeff[anchor_idx][None, :]
-    grad = np.concatenate([dfree.real.ravel(), dfree.imag.ravel()])
-    return F, grad
-
-
-class OracleBspaceObjective:
-    """Drop-in for ``annulus._BspaceObjective`` over ``bspace_objective_oracle``,
-    with the coefficients rebuilt by the same lines."""
-
-    def __init__(self, x, sv, window, anchor_idx, P, B, mu):
-        self.args = (
-            x, sv, window, x.size, anchor_idx,
-            B.space0.weights, B.space0.p, B.space1.weights, B.space1.p,
-            P.q0, P.q1, np.exp(window.astype(float)), mu,
-        )
-
-    def __call__(self, z):
-        return bspace_objective_oracle(z, *self.args)
-
-    def coefficients(self, z):
-        x, sv, window, d, anchor_idx = self.args[:5]
-        W = len(window)
-        free = np.delete(np.arange(W), anchor_idx)
-        zc = (z[: (W - 1) * d] + 1j * z[(W - 1) * d :]).reshape(W - 1, d)
-        coeffs = np.zeros((W, d), dtype=complex)
-        coeffs[free] = zc
-        s_pow = sv ** window.astype(float)
-        coeffs[anchor_idx] = (x - s_pow[free] @ zc) / s_pow[anchor_idx]
-        return coeffs
