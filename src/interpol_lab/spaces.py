@@ -12,11 +12,11 @@ spaces on one index set.  The splitting functional
 
 is computed by one kernel, with a certified optimality gap, for a whole
 array of t at once: closed forms for (1, 1), (inf, inf) and (1, inf), a
-safeguarded Newton solve for (2, 2) and (1, 2), a ternary search over the
-sup budget for (p, inf), and for every other (finite) pair an L-BFGS-B
-minimisation over coordinatewise shrinkage factors; the last two carry a
-duality-based lower bound.  ``k_profile`` is that kernel over a grid;
-``k_functional`` is its one-point case and also returns the splitter.
+safeguarded Newton solve for (2, 2) and (1, 2), and for every other pair
+one scalar root per t with a duality-based lower bound, over the sup
+budget for (p, inf) and along the curve of optimal splits otherwise.
+``k_profile`` is that kernel over a grid; ``k_functional`` is its
+one-point case and also returns the splitter.
 
 Two structural facts keep everything real and low-dimensional:
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
+from scipy.special import expit
 
 from .errors import ArgumentError, PrecisionError
 
@@ -286,9 +286,10 @@ def _k_kernel(m, couple: BanachCouple, ts: np.ndarray, tol: float):
     split x0 = lam x, x1 = x - x0 whose objective at ts[i] is hi[i] up to
     round-off.  The only dispatch on (p0, p1) lives here: closed forms for
     (1, 1), (inf, inf) and (1, inf), safeguarded Newton for (2, 2) and
-    (1, 2), and the general solvers otherwise; (inf, p) and (2, 1) are
-    t-swapped onto (p, inf) and (1, 2) first.
-    """
+    (1, 2), and a scalar root per t on the support of m otherwise; (inf, p)
+    and (2, 1) are t-swapped onto (p, inf) and (1, 2) first.  All run on the
+    unit-binade m; a non-finite end, or a root's gap above tol * max(1, upper)
+    there, raises :class:`PrecisionError` with its bracket."""
     T, d = ts.size, m.size
     if not np.any(m > 0):
         return np.zeros(T), np.zeros(T), np.zeros((T, d))
@@ -301,22 +302,23 @@ def _k_kernel(m, couple: BanachCouple, ts: np.ndarray, tol: float):
     swap = (p0 == INF and p1 != INF) or (p0, p1) == (2, 1)
     if swap:
         (w0, p0), (w1, p1), ts = (w1, p1), (w0, p0), 1.0 / ts
-    path = _K_PATHS.get((p0, p1))
+    mu, e = unit_binade(m)
+    path, sup = _K_PATHS.get((p0, p1)), mu > 0
     if path is not None:
-        mu, e = unit_binade(m)
         lo, hi, lam = path(mu, w0, w1, ts)
-        lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
     else:
-        # unscaled on purpose: rescaling |x| changes which evaluations meet
-        # the gap test tol * max(1, value) and so which raise PrecisionError
-        lo, hi, lam = np.empty(T), np.empty(T), np.empty((T, d))
-        for i, t in enumerate(ts):
-            if p1 == INF:
-                lo[i], hi[i], lam[i] = _k_any_linf(float(t), m, w0, p0, w1)
-            else:
-                lo[i], hi[i], lam[i] = _k_general(float(t), m, w0, p0, w1, p1, tol)
+        lam = np.zeros((T, d))
+        root = _k_sup_budget if p1 == INF else _k_finite
+        lo, hi, lam[:, sup] = root(mu[sup], w0[sup], p0, w1[sup], p1, ts)
+    certified = path is not None or (hi - lo <= tol * np.maximum(1.0, hi))
+    lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
     if swap:
-        return t_in * lo, t_in * hi, 1.0 - lam
+        lo, hi, lam = t_in * lo, t_in * hi, 1.0 - lam
+    failed = ~(certified & np.isfinite(lo) & np.isfinite(hi))
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        msg = f"K bracket [{lo[i]:.6e}, {hi[i]:.6e}] at t = {t_in[i]:.6e} is not finite or wider"
+        raise PrecisionError(f"{msg} than tol = {tol:.3e}", bracket=(float(lo[i]), float(hi[i])))
     return lo, hi, lam
 
 
@@ -507,164 +509,164 @@ _K_PATHS = {
 
 
 # ---------------------------------------------------------------------------
-# general K path: convex minimisation over shrinkage factors + dual certificate
+# general K paths: one scalar root per t, certified by duality
 
 
-def _subgradient(y: np.ndarray, w: np.ndarray, p: float) -> Optional[np.ndarray]:
-    n = magnitude_pnorm(y, w, p)
-    if n <= 1e-300:
-        return None
-    if p == 1:
-        return w.copy()
-    if p == INF:
-        wy = w * y
-        mask = wy >= n * (1 - 1e-12)
-        z = np.zeros_like(y)
-        z[mask] = w[mask] / mask.sum()
-        return z
-    return w * (w * y / n) ** (p - 1.0)
+def _rows_pnorm(y, w, p):
+    """Weighted l^p norm of every row (last axis) of a nonnegative array."""
+    wy = w * y
+    top = np.max(wy, axis=-1)
+    if p == INF or p == 1:
+        return top if p == INF else np.sum(wy, axis=-1)
+    return top * np.sum((wy / np.where(top > 0, top, 1.0)[..., None]) ** p, axis=-1) ** (1.0 / p)
+
+
+def _subgradient(y, w, p):
+    """A subgradient of the weighted l^p norm, p < inf, at every row of y."""
+    n = _rows_pnorm(y, w, p)[..., None]
+    return w * (w * y / np.where(n > 0, n, 1.0)) ** (p - 1.0)
 
 
 def _dual_lower(m, w0, p0, w1, p1, t, candidates):
-    q0, q1 = dual_exponent(p0), dual_exponent(p1)
-    best = 0.0
+    """Row by row, the best lower bound <m, z> / max(||z/w0||_p0', ||z/w1||_p1' / t)
+    on K(t, m) over the candidates z >= 0 (rows or one vector)."""
+    best, q0, q1 = 0.0, dual_exponent(p0), dual_exponent(p1)
     for z in candidates:
-        if z is None:
-            continue
-        z = np.maximum(z, 0.0)
-        d0 = magnitude_pnorm(z, 1.0 / w0, q0)
-        d1 = magnitude_pnorm(z, 1.0 / w1, q1)
-        scale = max(d0, d1 / t)
-        if scale <= 0:
-            continue
-        best = max(best, float(np.dot(m, z)) / scale)
+        scale = np.maximum(_rows_pnorm(z, 1.0 / w0, q0), _rows_pnorm(z, 1.0 / w1, q1) / t)
+        best = np.maximum(best, np.sum(m * z, axis=-1) / np.where(scale > 0, scale, INF))
     return best
 
 
-def _k_any_linf(t, m, w0, p0, w1):
-    """(lower, upper, lam) of K for (p0, inf): a convex search over the sup
-    budget u.
-
-    Given u = ||x1||_{inf,w1}, the best remainder has magnitudes
-    (m - u/w1)_+, so K(t) = min_u N0((m - u/w1)_+) + t u.  The KKT dual at
-    the optimum closes the gap to roundoff.
-    """
-    u_hi = float(np.max(m * w1))
-
-    def cost(u):
-        return magnitude_pnorm(np.maximum(m - u / w1, 0.0), w0, p0) + t * u
-
-    lo, hi = 0.0, u_hi
-    for _ in range(200):
-        third = (hi - lo) / 3.0
-        u1, u2 = lo + third, hi - third
-        # a step that leaves (lo, hi) unchanged is a fixed point: every
-        # later step would repeat it
-        if cost(u1) <= cost(u2):
-            if u2 == hi:
-                break
-            hi = u2
-        else:
-            if u1 == lo:
-                break
-            lo = u1
-    u = 0.5 * (lo + hi)
-    best_u, best_val = u, cost(u)
-    for cand in (0.0, u_hi):
-        c = cost(cand)
-        if c < best_val:
-            best_u, best_val = cand, c
-    u = best_u
-    y = np.maximum(m - u / w1, 0.0)
-    z0 = _subgradient(y, w0, p0)
-    cands = [z0] if z0 is not None else [t * _subgradient(m, w1, INF)]
-    lower = _dual_lower(m, w0, p0, w1, INF, t, cands)
-    lower = min(lower, best_val)
-    return lower, best_val, 1.0 - np.minimum(1.0, _shares(u, w1 * m))
+def _increasing_root(fun, x, lo, hi):
+    """Roots of a nondecreasing ``fun(x[rows], rows) -> (values, slopes)``, one
+    per entry of x, by Newton on x in place within [lo, hi] (an end may be
+    infinite): a step leaving it, or above half the step before last, becomes a
+    bisection, or twice the last step (at least 1) toward an infinite end.  Each
+    entry stops on its own, at a round-off residual, step or bracket."""
+    act, last, before = np.arange(x.size), np.full(x.size, INF), np.full(x.size, INF)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if act.size == 0:
+            break
+        xa = x[act]
+        f, df = fun(xa, act)
+        a, b = np.where(f < 0, xa, lo[act]), np.where(f > 0, xa, hi[act])
+        nxt = xa - f / np.maximum(df, _EPS)
+        tiny = 4e-16 * np.maximum(1.0, np.abs(xa))
+        small = (np.abs(f) <= 1e-14) | (np.abs(nxt - xa) <= tiny)
+        newton = (nxt > a) & (nxt < b) & (np.abs(nxt - xa) <= 0.5 * before[act])
+        finite = np.isfinite(a) & np.isfinite(b)
+        reach = np.where(np.isfinite(last[act]), np.maximum(2.0 * last[act], 1.0), 1.0)
+        nxt = np.where(newton, nxt, np.where(finite, 0.5 * (a + b), xa + np.copysign(reach, -f)))
+        nxt = np.where(finite, nxt, np.clip(nxt, xa - reach, xa + reach))
+        done = small | (b - a <= tiny)
+        x[act] = np.where(small, xa, nxt)
+        lo[act], hi[act] = a, b
+        before[act], last[act] = last[act], np.abs(nxt - xa)
+        act = act[~done]
+    return x
 
 
-def _k_general(t, m, w0, p0, w1, p1, tol):
-    """(lower, upper, lam) of K for finite p0, p1 by L-BFGS-B over the
-    shrinkage factors.
+def _split_logits(c, p0, p1, y=None):
+    """Logits y = log(a / (m - a)) on the curve w0^p0 a^(p0-1) = rho w1^p1 (m - a)^(p1-1):
+    h(y) = (p0 - 1) y + (p1 - p0) log(1 + e^y) = c = log rho + p1 log w1 - p0 log w0
+    + (p1 - p0) log m.  Closed for waterfilling (an exponent 1); otherwise h is
+    increasing and convex or concave, and Newton from ``y`` or from the inverse of its
+    asymptotes (exact for p0 = p1) is monotone after one step, each entry on its own."""
+    if 1 in (p0, p1):
+        sign = 1.0 if p0 == 1 else -1.0
+        s = np.maximum(sign * c, 0.0) / (p0 + p1 - 2.0)
+        return sign * (s + np.log(-np.expm1(-s), out=np.full_like(s, -INF), where=s > 0))
+    y = c / np.where(c < 0, p0 - 1.0, p1 - 1.0) if y is None else y
+    done = np.zeros(c.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        h = (p0 - 1.0) * y + (p1 - p0) * np.logaddexp(0.0, y)
+        step = (h - c) / (p0 - 1.0 + (p1 - p0) * expit(y))
+        y = y - np.where(done, 0.0, step)
+        done |= np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(y))
+        if done.all():
+            break
+    return y
 
-    Starts run in a fixed order (lam = 1/2, the (1, 1) split, 0, 1, then
-    two rounds of the best split so far and four ``default_rng(0)`` draws);
-    after each start the dual lower end is built from the best split, and
-    the first start whose gap is below tol * max(1, upper) is returned.
-    Raises PrecisionError with the best bracket when no start certifies.
-    """
-    d = m.size
 
-    def objective(lam):
-        lam = np.clip(lam, 0.0, 1.0)
-        return magnitude_pnorm(lam * m, w0, p0) + t * magnitude_pnorm(
-            (1.0 - lam) * m, w1, p1
-        )
+def _k_finite(m, w0, p0, w1, p1, ts):
+    """(lower, upper, lam) of K for finite p0, p1 and m > 0, one root per t.
 
-    def value_and_grad(lam):
-        lam = np.clip(lam, 0.0, 1.0)
-        u, v = lam * m, (1.0 - lam) * m
-        n0 = magnitude_pnorm(u, w0, p0)
-        n1 = magnitude_pnorm(v, w1, p1)
-        g0 = (
-            m * w0 * (w0 * u / n0) ** (p0 - 1.0)
-            if n0 > 1e-300
-            else np.zeros(d)
-        )
-        g1 = (
-            m * w1 * (w1 * v / n1) ** (p1 - 1.0)
-            if n1 > 1e-300
-            else np.zeros(d)
-        )
-        return n0 + t * n1, g0 - t * g1
+    Along the curve of :func:`_split_logits` (s = log rho) the objective moves with
+    the sign of G(s) = s - log t - (p0 - 1) log N0(a) + (p1 - 1) log N1(m - a), which
+    is nondecreasing and 0 at the optimal splits.  Corners first: x0 = x iff grad N0(m)
+    has X1*-norm <= t, x0 = 0 iff t grad N1(m) has X0*-norm <= 1.  a, m - a come from y."""
+    full = _rows_pnorm(_subgradient(m, w0, p0), 1.0 / w1, dual_exponent(p1)) <= ts
+    empty = ts * _rows_pnorm(_subgradient(m, w1, p1), 1.0 / w0, dual_exponent(p0)) <= 1.0
+    y = np.where(full, INF, -INF)[:, None] * np.ones(m.size)
+    inner = np.flatnonzero(~(full | empty))
+    if inner.size:
+        lm, lw0, lw1 = np.log(m), np.log(w0), np.log(w1)
+        k = p1 * lw1 - p0 * lw0 + (p1 - p0) * lm
+        log_t, n0, n1 = np.log(ts[inner]), _rows_pnorm(m, w0, p0), _rows_pnorm(m, w1, p1)
+        s0 = log_t + (p0 - 1.0) * math.log(0.5 * n0) - (p1 - 1.0) * math.log(0.5 * n1)
+        warm = _split_logits(s0[:, None] + k, p0, p1)  # each row's last logits
 
-    starts = [
-        np.full(d, 0.5),
-        (w0 <= t * w1).astype(float),
-        np.zeros(d),
-        np.ones(d),
-    ]
-    rng = np.random.default_rng(0)
-    best_lam, best_val, lower = None, INF, 0.0
+        def G(s, rows):
+            warm[rows] = yr = _split_logits(s[:, None] + k, p0, p1, warm[rows])
+            sig = expit(yr)
+            slope = np.maximum((p0 - 1.0) * (1.0 - sig) + (p1 - 1.0) * sig, _EPS)
+            g, dg = s - log_t[rows], 1.0
+            for p, lw, sign, share in ((p0, lw0, -1.0, 1.0 - sig), (p1, lw1, 1.0, sig)):
+                if p > 1:  # log N of the part, and its shares (w part)^p / N^p
+                    e = p * (lw + lm - np.logaddexp(0.0, sign * yr))
+                    top = np.max(e, axis=1, keepdims=True)
+                    ex = np.exp(e - top)
+                    total = np.sum(ex, axis=1, keepdims=True)
+                    g = g + sign * (p - 1.0) / p * (top + np.log(total))[:, 0]
+                    dg = dg - (p - 1.0) * np.sum(ex / total * share / slope, axis=1)
+            return g, dg
 
-    for _ in range(3):
-        for lam0 in starts:
-            lam = optimize.minimize(
-                value_and_grad,
-                lam0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(0.0, 1.0)] * d,
-                options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
-            ).x
-            val = objective(lam)
-            if not val < best_val:
-                # the certificate of an unchanged best split is unchanged
-                continue
-            best_val, best_lam = val, np.clip(lam, 0.0, 1.0)
-            u, v = best_lam * m, (1.0 - best_lam) * m
-            z0 = _subgradient(u, w0, p0)
-            z1 = _subgradient(v, w1, p1)
-            if z1 is not None:
-                z1 = t * z1
-            cands = [z0, z1]
-            if z0 is not None and z1 is not None:
-                cands.append(0.5 * (z0 + z1))
-                cands.append(np.minimum(z0, z1))
-            if p0 == 1 and z1 is not None:
-                cands.append(np.minimum(w0, z1))
-            if p1 == 1 and z0 is not None:
-                cands.append(np.minimum(t * w1, z0))
-            lower = _dual_lower(m, w0, p0, w1, p1, t, cands)
-            lower = min(lower, best_val)
-            if best_val - lower <= tol * max(1.0, best_val):
-                return lower, best_val, best_lam
-        starts = [best_lam] + [rng.uniform(0, 1, d) for _ in range(4)]
+        _increasing_root(G, s0, np.full(inner.size, -INF), np.full(inner.size, INF))
+        y[inner] = warm  # the logits at each root
+    a, v = m * expit(y), m * expit(-y)
+    upper = _rows_pnorm(a, w0, p0) + ts * _rows_pnorm(v, w1, p1)
+    z0, z1 = _subgradient(a, w0, p0), ts[:, None] * _subgradient(v, w1, p1)
+    cands = [z0, z1, 0.5 * (z0 + z1), np.minimum(z0, z1)]
+    return np.minimum(_dual_lower(m, w0, p0, w1, p1, ts, cands), upper), upper, expit(y)
 
-    raise PrecisionError(
-        f"splitting functional gap {best_val - lower:.3e} above tolerance {tol:.3e}",
-        bracket=(lower, best_val),
-    )
+
+def _k_sup_budget(m, w0, p0, w1, p1, ts):
+    """(lower, upper, lam) of K for (p0, inf), 1 < p0 < inf, m > 0, one root per t.
+
+    With sup budget u = ||x1||_{inf,w1} the best remainder is y = (m - u/w1)_+, and
+    K(t) = min_u N0(y) + t u is optimal where t = R(u) = ||grad N0(y) / w1||_1, which
+    is nonincreasing and smooth between the kinks u = m_i w1_i that bracket its root."""
+    z, ratio, u_hi = m * w1, w0 / w1, float(np.max(m * w1))
+    top = (z == u_hi) / w1  # the direction in which y vanishes at u_hi
+
+    def log_R(y):  # log R at rows of remainders y, and its derivative in -u
+        n = _rows_pnorm(y, w0, p0)[:, None]
+        r = w0 * y / n
+        R = np.sum(ratio * r ** (p0 - 1.0), axis=1)
+        curv = np.sum((y > 0) * ratio * ratio * np.where(y > 0, r, 1.0) ** (p0 - 2.0), axis=1)
+        return np.log(R), (p0 - 1.0) / n[:, 0] * (curv / R - R)
+
+    knots = np.unique(np.append(z, 0.0))
+    log_knots = log_R(np.vstack([np.maximum(z - knots[:-1, None], 0.0) / w1, top]))[0]
+    # the first knot where R <= t: 0 at the corner u = 0, none at u = u_hi
+    j = np.searchsorted(-np.minimum.accumulate(log_knots), -np.log(ts))
+    u = np.where(j == 0, 0.0, u_hi)
+    y = np.where(j[:, None] == 0, m, 0.0)
+    inner = np.flatnonzero((j > 0) & (j < knots.size))
+    if inner.size:
+        # the root in log(hi - u): a y_i ~ hi - u next to the kink hi can
+        # still carry R where u itself has no resolution left
+        lt, hi, width = np.log(ts[inner]), knots[j[inner]], np.log(np.diff(knots)[j[inner] - 1])
+
+        def G(s, rows):
+            lr, slope = log_R(np.maximum(z - hi[rows, None] + np.exp(s)[:, None], 0.0) / w1)
+            return lr - lt[rows], np.exp(s) * slope
+
+        delta = np.exp(_increasing_root(G, width - math.log(2.0), np.full(inner.size, -INF), width))
+        u[inner], y[inner] = hi - delta, np.maximum(z - hi[:, None] + delta[:, None], 0.0) / w1
+    upper = _rows_pnorm(y, w0, p0) + ts * u
+    cands = [_subgradient(y, w0, p0), _subgradient(top, w0, p0)]
+    return np.minimum(_dual_lower(m, w0, p0, w1, INF, ts, cands), upper), upper, y / m
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +677,10 @@ def k_functional(t: float, x, couple: BanachCouple, tol: float = 1e-8) -> KEvalu
     """Certified evaluation of K(t, x) over the couple, with its splitter.
 
     The one-point case of the K kernel that :func:`k_profile` runs over a
-    grid.  Gap 0 on the exact paths (zero vector, equal endpoint spaces,
-    (1, 1), (inf, inf), (1, inf) and (inf, 1)); round-off for the Newton
-    solves of (2, 2), (1, 2) and (2, 1); any other pair runs the general
-    shrinkage minimisation and must certify a gap below ``tol`` (else
-    :class:`PrecisionError` with the best bracket).  The splitter is
-    (lam x, x - lam x) for the kernel's shrinkage factors lam.
+    grid.  Gap 0 on the closed forms, round-off on the Newton solves; any
+    other pair runs a scalar root and must certify a gap below
+    ``tol`` * max(1, upper) at |x|'s unit binade (else :class:`PrecisionError`
+    with the bracket).  The splitter is (lam x, x - lam x).
     """
     if t <= 0:
         raise ArgumentError("t must be positive")

@@ -4,8 +4,8 @@ These deliberately avoid the library's solver paths: the K oracle is a
 zooming grid search over coordinatewise shrinkage factors finished by a
 bounded local descent, and the Calderon oracle enumerates factorisations on
 spheres.  ``scalar_k_oracle`` keeps the one-t-at-a-time K solvers that the
-vectorised K kernel replaced, and ``full_sup_budget_search`` the (p, inf)
-solver before its search stopped at its fixed point.
+vectorised K kernel replaced, and ``full_sup_budget_search`` the 200-step
+ternary search over the sup budget that the (p, inf) root replaced.
 """
 
 import math
@@ -23,9 +23,6 @@ from interpol_lab.spaces import (
 )
 
 _EPS = 1e-300
-# bound at import, so a test that counts the library's minimisations by
-# patching scipy's ``optimize.minimize`` does not count the oracle's
-_minimize = optimize.minimize
 
 
 def grid_k_oracle(t, x, couple, stages=5, pts=25):
@@ -64,7 +61,7 @@ def grid_k_oracle(t, x, couple, stages=5, pts=25):
         h = (hi - lo) / (pts - 1)
         lo = np.maximum(0.0, best_lam - 2 * h)
         hi = np.minimum(1.0, best_lam + 2 * h)
-    res = _minimize(
+    res = optimize.minimize(
         lambda lam: float(objective(lam)), best_lam, method="L-BFGS-B",
         bounds=[(0.0, 1.0)] * d, options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500},
     )
@@ -305,7 +302,7 @@ def scalar_k_oracle(t, x, couple):
 
 def full_sup_budget_search(t, m, w0, p0, w1):
     """(lower, upper, lam) of K for (p0, inf) by all 200 steps of the ternary
-    search over the sup budget u; a drop-in for ``spaces._k_any_linf``."""
+    search over the sup budget u, on |x| as given."""
     u_hi = float(np.max(m * w1))
 
     def cost(u):
@@ -328,7 +325,7 @@ def full_sup_budget_search(t, m, w0, p0, w1):
     u = best_u
     y = np.maximum(m - u / w1, 0.0)
     z0 = _subgradient(y, w0, p0)
-    cands = [z0] if z0 is not None else [t * _subgradient(m, w1, INF)]
-    lower = _dual_lower(m, w0, p0, w1, INF, t, cands)
+    cands = [z0] if np.any(z0 > 0) else [_subgradient((m * w1 == u_hi) / w1, w0, p0)]
+    lower = float(_dual_lower(m, w0, p0, w1, INF, t, cands))
     lower = min(lower, best_val)
     return lower, best_val, 1.0 - np.minimum(1.0, _shares(u, w1 * m))

@@ -418,6 +418,33 @@ def kfun_cfg(outdir, t_grid):
     }
 
 
+def test_kfun_at_the_top_of_the_double_range(tmp_path):
+    # K of x = [1, 1e308] over this (2, 3) couple is t 1e308 for t <= 1.5:
+    # all of x on the l^3 side, whose norm is 1e308
+    data = kfun_cfg(tmp_path / "o", {"t_min": 0.1, "t_max": 1.5, "points_per_decade": 2})
+    data["vectors"] = [[1.0, 1.0e308]]
+    assert main(["kfun", "--config", write_cfg(tmp_path, data)]) == EXIT_PASS
+    rows = json.loads((tmp_path / "o" / "report.json").read_text())["data"]["kfun"]
+    for r in rows:
+        assert 0.0 < r["K_lower"] <= r["K_upper"] <= r["t"] * 1e308 * (1 + 1e-12)
+    # above t = 1.8 K exceeds the largest double: a precision exit, not a crash
+    data = kfun_cfg(tmp_path / "o2", {"t_min": 0.1, "t_max": 10.0, "points_per_decade": 2})
+    data["vectors"] = [[1.0, 1.0e308]]
+    assert main(["kfun", "--config", write_cfg(tmp_path, data)]) == cli.EXIT_PRECISION
+
+
+def test_kfun_with_a_non_finite_k_end_exits_three(tmp_path, capsys):
+    # the (1, 2) path squares the weight 1e200 of this (2, 1) couple
+    data = kfun_cfg(tmp_path / "o", {"t_min": 0.5, "t_max": 20.0, "points_per_decade": 1})
+    data["problem"]["domain"] = {
+        "space0": {"p": 2, "weights": [1.0, 1e200]},
+        "space1": {"p": 1, "weights": [1.0, 2.0]},
+    }
+    data["vectors"] = [[1.0, 1.0]]
+    assert main(["kfun", "--config", write_cfg(tmp_path, data)]) == cli.EXIT_PRECISION
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_infinite_t_max_exits_two(tmp_path, capsys):
     data = kfun_cfg(tmp_path / "o", {"t_min": 0.1, "t_max": float("inf"), "points_per_decade": 2})
     assert main(["kfun", "--config", write_cfg(tmp_path, data)]) == EXIT_CONFIG

@@ -139,3 +139,17 @@ def test_refined_level_nests_the_coarser_one():
     again = prof.brackets(0)
     for a, b in zip((ts0, lo0, hi0), again):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("p0,p1", [(1.5, 3.0), (3.0, 1.0), (4.0, 1.5), (2.0, INF)])
+def test_root_path_brackets_each_t_independently_of_its_batch(p0, p1):
+    # each t runs and stops its own root iteration, so a grid's brackets are
+    # the one-point brackets bit for bit
+    rng = np.random.default_rng(19)
+    C = random_couple(rng, p0, p1, 3)
+    x = rng.normal(size=3) + 1j * rng.normal(size=3)
+    ts = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 9))
+    lo, hi = spaces.k_profile(x, C, ts)
+    for i, t in enumerate(ts):
+        one_lo, one_hi = spaces.k_profile(x, C, [t])
+        assert (one_lo[0], one_hi[0]) == (lo[i], hi[i])

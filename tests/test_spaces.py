@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interpol_lab import spaces
 from interpol_lab.errors import ArgumentError, PrecisionError
 from interpol_lab.spaces import (
     BanachCouple,
@@ -249,9 +248,10 @@ def _check_profile_against_scalar(x, C, ts):
 
 
 CLOSED_AND_NEWTON_PAIRS = [(1, 1), (INF, INF), (2, 2), (1, INF), (INF, 1), (1, 2), (2, 1)]
+ROOT_PAIRS = [(1.5, 3.0), (3.0, 1.5), (1.0, 3.0), (3.0, 1.0), (1.5, INF), (INF, 3.0)]
 
 
-@pytest.mark.parametrize("p0,p1", CLOSED_AND_NEWTON_PAIRS)
+@pytest.mark.parametrize("p0,p1", CLOSED_AND_NEWTON_PAIRS + ROOT_PAIRS)
 def test_k_functional_at_extreme_magnitudes(p0, p1):
     # K is positively homogeneous and a power-of-two scaling is exact, so the
     # brackets at x 2^+-565 are the unscaled ones times 2^+-565, bit for bit
@@ -262,6 +262,26 @@ def test_k_functional_at_extreme_magnitudes(p0, p1):
         ev = k_functional(0.7, math.ldexp(1.0, k) * x, C)
         assert ev.value == math.ldexp(base.value, k)
         assert ev.upper == math.ldexp(base.upper, k)
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_root_path_certifies_at_extreme_magnitudes(scale):
+    # |x| is scaled to its unit binade before the root solve: the brackets
+    # are as tight at x 1e+-170 as at x
+    C = couple([1.0, 3.0], 1.5, [2.0, 0.5], 3.0)
+    ev = k_functional(0.7, scale * np.array([1.0, -2.0j]), C)
+    assert 0.0 < ev.value <= ev.upper
+    assert ev.gap <= 1e-12 * ev.upper
+
+
+def test_non_finite_k_ends_raise_with_their_bracket():
+    # the (1, 2) path squares the weights: w = 1e200 overflows to a NaN end
+    C = BanachCouple(WeightedSpace(2, [1.0, 1e200]), WeightedSpace(1, [1.0, 2.0]))
+    with pytest.raises(PrecisionError) as info:
+        k_functional(10.0, [1.0, 1.0], C)
+    assert len(info.value.bracket) == 2
+    with pytest.raises(PrecisionError):
+        k_profile([1.0, 1.0], C, np.array([0.1, 10.0]))
 
 
 def test_k_l1_l2_all_on_the_l1_side_over_the_support():
@@ -323,64 +343,59 @@ def test_k_requires_positive_t_and_tol():
         k_functional(1.0, [1.0], C, tol=0.0)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
-def test_sup_budget_search_matches_full_search(p, monkeypatch):
-    rng = np.random.default_rng(29)
+GENERAL_FINITE_PAIRS = [
+    (p0, p1)
+    for p0 in (1.0, 1.5, 2.0, 3.0, 4.0)
+    for p1 in (1.0, 1.5, 2.0, 3.0, 4.0)
+    if (p0, p1) not in {(1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (2.0, 1.0)}
+]
+
+
+def _root_path_cases(rng, pair):
+    """(t, x, C) over dims 1-4, a vector with a zero entry, t in [1e-2, 1e2]."""
     cases = []
     for d in (1, 2, 3, 4):
-        for pair in ((p, INF), (INF, p)):
-            C = couple(
-                np.exp(rng.uniform(-1.5, 1.5, d)), pair[0],
-                np.exp(rng.uniform(-1.5, 1.5, d)), pair[1],
-            )
-            x = rng.normal(size=d) + 1j * rng.normal(size=d)
-            y = rng.normal(size=d)
-            y[rng.integers(d)] = 0.0
-            cases += [(t, v, C) for v in (x, y) for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
-    stopped = [k_functional(t, v, C) for t, v, C in cases]
-    monkeypatch.setattr(spaces, "_k_any_linf", full_sup_budget_search)
-    for (t, v, C), ev in zip(cases, stopped):
-        ref = k_functional(t, v, C)
-        assert (ev.value, ev.gap, ev.upper) == (ref.value, ref.gap, ref.upper)
-        assert np.array_equal(ev.splitter[0], ref.splitter[0])
-        assert np.array_equal(ev.splitter[1], ref.splitter[1])
+        C = couple(
+            np.exp(rng.uniform(-1.5, 1.5, d)), pair[0],
+            np.exp(rng.uniform(-1.5, 1.5, d)), pair[1],
+        )
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        y = rng.normal(size=d)
+        y[rng.integers(d)] = 0.0
+        ts = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 4))
+        cases += [(float(t), v, C) for v in (x, y) for t in ts]
+    return cases
 
 
-def test_general_pairs_certify_with_one_minimisation(monkeypatch):
-    calls = []
-    minimize = spaces.optimize.minimize
+def _check_root_path(t, x, C, upper_oracle=None):
+    # no PrecisionError at the default tol, a gap at round-off, an upper end
+    # no worse than the oracle's feasible split (the grid's by default) and
+    # a lower end below the grid's
+    ev = k_functional(t, x, C)
+    assert ev.gap <= 1e-12 * ev.upper
+    grid = grid_k_oracle(t, x, C, pts=9 if C.dim == 4 else 25)
+    assert ev.upper <= (grid if upper_oracle is None else upper_oracle) * (1 + 1e-10)
+    assert ev.value <= grid + 1e-12 * max(1.0, grid)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(spaces.optimize, "minimize", counting)
+def test_general_pairs_certify_without_precision_errors():
     rng = np.random.default_rng(31)
-    exps = [1.0, 1.5, 2.0, 3.0, 4.0]
-    newton_or_closed = {(1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (2.0, 1.0)}
-    tol = 1e-8
-    evaluations = 0
-    for p0 in exps:
-        for p1 in exps:
-            if (p0, p1) in newton_or_closed:
-                continue
-            for d in (1, 2, 3):
-                C = couple(
-                    np.exp(rng.uniform(-1.5, 1.5, d)), p0,
-                    np.exp(rng.uniform(-1.5, 1.5, d)), p1,
-                )
-                x = rng.normal(size=d) + 1j * rng.normal(size=d)
-                for t in (0.1, 0.316, 1.0, 3.16, 10.0):
-                    ev = k_functional(t, x, C, tol=tol)
-                    evaluations += 1
-                    assert ev.gap <= tol * max(1.0, ev.upper)
-                    # the grid oracle is the objective of a feasible split:
-                    # no lower end may exceed it, and no upper end may be
-                    # worse than it by more than its accuracy
-                    oracle = grid_k_oracle(t, x, C)
-                    assert ev.value <= oracle + 1e-12 * max(1.0, oracle)
-                    assert ev.upper <= oracle + 1e-5 * max(1.0, oracle)
-    assert len(calls) == evaluations
+    for pair in GENERAL_FINITE_PAIRS:
+        for t, x, C in _root_path_cases(rng, pair):
+            _check_root_path(t, x, C)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_sup_budget_pairs_certify(p):
+    rng = np.random.default_rng(29)
+    for pair in ((p, INF), (INF, p)):
+        for t, x, C in _root_path_cases(rng, pair):
+            # the (inf, p) couple through K(t; X0, X1) = t K(1/t; X1, X0)
+            S0, S1, s, scale = C.space0, C.space1, t, 1.0
+            if pair[0] == INF:
+                S0, S1, s, scale = C.space1, C.space0, 1.0 / t, t
+            oracle = full_sup_budget_search(s, np.abs(x), S0.weights, S0.p, S1.weights)[1]
+            _check_root_path(t, x, C, scale * oracle)
 
 
 @pytest.mark.parametrize("bad", [math.nan, INF, complex(1.0, -INF)], ids=["nan", "inf", "complex-inf"])
