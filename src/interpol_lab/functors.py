@@ -3,10 +3,13 @@
 Two families are realised:
 
 * the real (theta, q) norm  ( int_0^inf (t^-theta K(t,x))^q dt/t )^(1/q)
-  (sup for q = inf), computed as a certified bracket: the splitting
-  functional is evaluated on a log grid, enclosed on every cell by the
-  monotone envelopes implied by "K nondecreasing, K(t)/t nonincreasing",
-  and the tails outside the grid window are bounded in closed form;
+  (sup for q = inf), computed as a certified bracket.  Outside the corner
+  window [t0, t1] of x, K(t, x) is exactly t ||x||_1 or ||x||_0, so the
+  tails there are closed forms; inside, the splitting functional is
+  evaluated on the nodes of a log grid that cover the window (the
+  quadrature config sets the grid's spacing and phase), and enclosed on
+  every cell by the monotone envelopes implied by "K nondecreasing, K(t)/t
+  nonincreasing";
 
 * the Calderon construction on weighted lattices, which is exactly the
   weighted space with  1/p = (1-theta)/p0 + theta/p1  and coordinatewise
@@ -37,10 +40,12 @@ from .spaces import (
     BanachCouple,
     KProfile,
     WeightedSpace,
-    enforce_monotone,
     as_vector,
+    dual_exponent,
+    enforce_monotone,
     finite_vector,
     k_functional,
+    magnitude_pnorm,
     unit_binade,
 )
 
@@ -67,9 +72,15 @@ class QuadratureConfig:
             np.linspace(math.log(self.t_min), math.log(self.t_max), self.intervals + 1)
         )
 
-    def profile(self, x, couple: BanachCouple) -> KProfile:
-        """The couple's memoised K profile of x whose level 0 is this grid."""
-        return KProfile.of(couple, x, self.t_min, self.t_max, self.intervals)
+    def nodes_around(self, t0: float, t1: float):
+        """((i, t_i), (j, t_j)) with t_i <= t0 < t1 <= t_j the nodes next to
+        [t0, t1] of this grid's log lattice t_k = t_min r^k, extended beyond
+        [t_min, t_max] (r = (t_max / t_min)^(1 / intervals)); up to the
+        round-off of the logs, which callers widen [t0, t1] against."""
+        lo = math.log(self.t_min)
+        h = (math.log(self.t_max) - lo) / self.intervals
+        i, j = math.floor((math.log(t0) - lo) / h), math.ceil((math.log(t1) - lo) / h)
+        return (i, math.exp(lo + i * h)), (j, math.exp(lo + j * h))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -133,16 +144,14 @@ def _log_power_integral(la, lb, e: float):
     return np.exp(e * la) * np.expm1(e * (lb - la)) / e
 
 
-def _power_integral(a: np.ndarray, b: np.ndarray, e: float) -> np.ndarray:
-    """int_a^b t^(e-1) dt for 0 < a <= b, stable in log space."""
-    return _log_power_integral(np.log(a), np.log(b), e)
-
-
 def trivial_couple_constant(theta: float, q: float) -> float:
     """(theta, q) norm of a unit vector over an equal-space couple."""
     if q == INF:
         return 1.0
     return (1.0 / ((1.0 - theta) * q) + 1.0 / (theta * q)) ** (1.0 / q)
+
+
+_CHORD_ULPS = 16 * np.finfo(float).eps
 
 
 def _tangent_lines(ts, Klo, Khi):
@@ -152,19 +161,22 @@ def _tangent_lines(ts, Klo, Khi):
     derivative there (estimated from the previous chord), hence lies above K
     to the right of t_k; the right line anchors at (t_{k+1}, Khi_{k+1}) with
     a slope at most the left derivative there (next chord), hence lies above
-    K to the left.  Their pointwise minimum resolves kinks to O(h^2).
+    K to the left.  Their pointwise minimum resolves kinks to O(h^2).  The
+    chord slopes are rounded outward by the round-off of their K values
+    (``_CHORD_ULPS``), which a narrow cell amplifies by 1/(t_{k+1} - t_k).
     """
     n = ts.size
     dl = np.diff(ts)
+    slack = _CHORD_ULPS * (Khi[1:] + Khi[:-1]) / dl
     s_left = Khi / ts
     chord_prev = np.empty(n)
     chord_prev[0] = s_left[0]
-    chord_prev[1:] = (Khi[1:] - Klo[:-1]) / dl
+    chord_prev[1:] = (Khi[1:] - Klo[:-1]) / dl + slack
     bl = np.maximum(np.minimum(s_left, chord_prev), 0.0)[:-1]
     al = np.maximum(Khi[:-1] - bl * ts[:-1], 0.0)
 
     chord_next = np.zeros(n)
-    chord_next[:-1] = np.maximum((Klo[1:] - Khi[:-1]) / dl, 0.0)
+    chord_next[:-1] = np.maximum((Klo[1:] - Khi[:-1]) / dl - slack, 0.0)
     br = np.empty(n - 1)
     br[:-1] = chord_next[1:-1]
     br[-1] = 0.0
@@ -241,8 +253,8 @@ class _Cells:
         self.chords = _chords(ts, Klo)
 
 
-def _sup_window(c: _Cells, theta):
-    """(lo, up) of the sup of t^-theta K over the window."""
+def _sup_cells(c: _Cells, theta):
+    """Per cell, (lo, up) of the sup of t^-theta K over the cell."""
     at_node = c.ts ** (-theta)
     at_left = c.Khi[:-1] * at_node[:-1]
     cell_sup = np.maximum(c.env_up * c.t_up ** (-theta), at_left)
@@ -250,13 +262,13 @@ def _sup_window(c: _Cells, theta):
     # crossing, so three evaluations bound the cell sup
     at_cross = c.tan_x * c.tx ** (-theta)
     tan_sup = np.maximum.reduce([at_left, c.Khi[1:] * at_node[1:], at_cross])
-    up = float(np.max(np.minimum(cell_sup, tan_sup)))
-    return float(np.max(c.Klo * at_node)), up
+    lo = c.Klo * at_node
+    return np.maximum(lo[:-1], lo[1:]), np.minimum(cell_sup, tan_sup)
 
 
-def _integral_window(c: _Cells, theta, q):
-    """(lo, up) of the integral of (t^-theta K)^q dt/t over the window, not
-    yet raised to 1/q; the tangents and chords tighten it for q in {1, 2}."""
+def _integral_cells(c: _Cells, theta, q):
+    """Per cell, (lo, up) of the integral of (t^-theta K)^q dt/t over the
+    cell; the tangents and chords tighten it for q in {1, 2}."""
     tl, tr = c.ts[:-1], c.ts[1:]
     kl_lo, kr_lo = c.Klo[:-1], c.Klo[1:]
     kl_hi, kr_hi = c.Khi[:-1], c.Khi[1:]
@@ -277,59 +289,46 @@ def _integral_window(c: _Cells, theta, q):
             _affine_power_integral(ltl, c.log_tx, al, bl, theta, q)
             + _affine_power_integral(c.log_tx, ltr, ar, br, theta, q),
         )
-    return float(np.sum(lo)), float(np.sum(np.maximum(up, lo)))
+    return lo, np.maximum(up, lo)
 
 
-def _tail_bracket(ts, Klo, Khi, theta, q, n0, n1):
-    """Brackets ((lo, up) right, (lo, up) left) of the norm's two tails.
+def _corner_tails(theta, q, n0, n1, ta, tb, a=0.0, b=INF):
+    """Exact (left, right) parts of the norm on [a, ta], where K(t) = n1 t,
+    and on [tb, b], where K(t) = n0, each clipped to [a, b]: sups of
+    t^-theta K for q = inf, integrals of (t^-theta K)^q dt/t otherwise.
 
-    n0 and n1 bound K(t) and K(t)/t: right of t_max, Klo[-1] <= K <=
-    min(n0, Khi[-1] t / t_max); left of t_min, Klo[0] t / t_min <= K <=
-    min(Khi[0], n1 t).  The parts combine as in the window: a sup for
-    q = inf, integrals of q-th powers otherwise.
+    A part that overflows raises :class:`PrecisionError`.
     """
-    t_min, t_max = ts[0], ts[-1]
-    if q == INF:
-        right_up = n0 ** (1.0 - theta) * (Khi[-1] / t_max) ** theta
-        left_up = Khi[0] ** (1.0 - theta) * n1**theta
-        # at theta = 0 (1) the sup is the limit t -> inf (0), at least the edge value
-        right_lo = Klo[-1] if theta == 0.0 else 0.0
-        left_lo = Klo[0] / t_min if theta == 1.0 else 0.0
-        return (right_lo, right_up), (left_lo, left_up)
-    a0, a1 = -q * theta, q * (1.0 - theta)
-    t_c = t_max * n0 / max(Khi[-1], 1e-300)
-    right_up = (Khi[-1] / t_max) ** q * _power_integral(
-        np.array([t_max]), np.array([t_c]), a1
-    )[0] + n0**q * t_c**a0 / (q * theta)
-    right_lo = Klo[-1] ** q * t_max**a0 / (q * theta)
-    t_cl = min(Khi[0] / n1, t_min) if n1 > 0 else t_min
-    left_up = n1**q * t_cl**a1 / a1 + Khi[0] ** q * _power_integral(
-        np.array([max(t_cl, 1e-300)]), np.array([t_min]), a0
-    )[0]
-    left_lo = (Klo[0] / t_min) ** q * t_min**a1 / a1
-    return (right_lo, right_up), (left_lo, left_up)
+    n0, n1, ta, tb = float(n0), float(n1), float(ta), float(tb)
+    left_end, right_end = min(ta, b), max(tb, a)
+    left = right = 0.0
+    try:
+        if q == INF:
+            if a < left_end:
+                left = n1 * left_end ** (1.0 - theta)
+            if right_end < b:
+                right = n0 * right_end**-theta
+            return left, right
+        a1, a0 = q * (1.0 - theta), -q * theta
+        if a < left_end:
+            part = left_end**a1 / a1 if a == 0.0 else _log_power_integral(math.log(a), math.log(left_end), a1)
+            left = n1**q * float(part)
+        if right_end < b:
+            part = right_end**a0 / -a0 if b == INF else _log_power_integral(math.log(right_end), math.log(b), a0)
+            right = n0**q * float(part)
+    except OverflowError:
+        raise PrecisionError("real norm tail overflows") from None
+    return left, right
 
 
-def _real_bracket(cells: _Cells, theta, q, ends=None):
-    """(lo, up) of the real (theta, q) norm from one profile level's cells.
-
-    With the endpoint bounds ``ends`` = (n0, n1) the window bracket is
-    joined with the tail bracket; without them it is the windowed norm.
-    """
+def _real_bracket(cells: _Cells, theta, q, tails, part=slice(None)):
+    """(lo, up) of the real (theta, q) norm from the cells ``part`` of one
+    profile level joined with the exact ``tails`` of :func:`_corner_tails`."""
     if q == INF:
-        lo, up = _sup_window(cells, theta)
-    else:
-        lo, up = _integral_window(cells, theta, q)
-    tails = ((0.0, 0.0), (0.0, 0.0))
-    if ends is not None:
-        try:
-            tails = _tail_bracket(cells.ts, cells.Klo, cells.Khi, theta, q, *ends)
-        except OverflowError:
-            raise PrecisionError("real norm tail bound overflows") from None
-    (r_lo, r_up), (l_lo, l_up) = tails
-    if q == INF:
-        return max(lo, r_lo, l_lo), max(up, r_up, l_up)
-    return (lo + r_lo + l_lo) ** (1.0 / q), (up + r_up + l_up) ** (1.0 / q)
+        lo, up = (float(np.max(a[part], initial=0.0)) for a in _sup_cells(cells, theta))
+        return max(lo, *tails), max(up, *tails)
+    lo, up = (float(np.sum(a[part])) for a in _integral_cells(cells, theta, q))
+    return (lo + sum(tails)) ** (1.0 / q), (up + sum(tails)) ** (1.0 / q)
 
 
 _ROUNDOFF_PAD = 1e-12
@@ -345,8 +344,16 @@ def _padded(lo: float, up: float) -> NormBracket:
     return _finite(lo * (1.0 - _ROUNDOFF_PAD), up * (1.0 + _ROUNDOFF_PAD))
 
 
+_NODE_GAP = 1e-9
+
+
 def _peak_abscissae(ts, Klo, Khi):
-    return _tangent_crossings(ts, *_tangent_lines(ts, Klo, Khi))
+    """The tangent crossings, less those within ``_NODE_GAP`` (relative) of a
+    node: such a crossing is round-off where K is linear, and the sliver cell
+    it would add has no chord slope that the rounded K values resolve."""
+    tx = _tangent_crossings(ts, *_tangent_lines(ts, Klo, Khi))
+    near = (tx <= ts[:-1] * (1.0 + _NODE_GAP)) | (tx >= ts[1:] * (1.0 - _NODE_GAP))
+    return tx[~near]
 
 
 class _CellSlot:
@@ -382,14 +389,97 @@ class _CellSlot:
 _CELLS = _CellSlot()
 
 
+_CORNER_GUARD = 1e-9  # relative widening of the corner thresholds, against round-off
+
+
+def _subgradient(m, space: WeightedSpace) -> np.ndarray:
+    """A subgradient of the space's norm at the nonnegative magnitudes m,
+    zero on the zero entries of m for p = 1 too, which narrows the corner
+    window where x has zero entries."""
+    w, p = space.weights, space.p
+    if p == INF:
+        g = np.zeros_like(m)
+        k = int(np.argmax(w * m))
+        g[k] = w[k]
+        return g
+    if p == 1:
+        return w * (m > 0)
+    return w * (w * m / magnitude_pnorm(m, w, p)) ** (p - 1.0)
+
+
+def _dual_norm(g, space: WeightedSpace) -> float:
+    return magnitude_pnorm(np.abs(g), 1.0 / space.weights, dual_exponent(space.p))
+
+
+def _corners(m, couple: BanachCouple):
+    """(t0, t1) with K(t, m) = t N1(m) for t <= t0 and K(t, m) = N0(m) for
+    t >= t1, from one subgradient g_j of each N_j at m: t0 = 1 / ||g1||_X0*
+    and t1 = ||g0||_X1*.
+
+    By convexity N1(m - x0) >= N1(m) - <g1, x0> >= N1(m) - ||g1||_X0* N0(x0),
+    so N0(x0) + t N1(m - x0) >= t N1(m) once t ||g1||_X0* <= 1, and likewise
+    for N0.  Least-norm subgradients give the narrowest window; any others a
+    wider one, still exact outside.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t0 = 1.0 / _dual_norm(_subgradient(m, couple.space1), couple.space0)
+        t1 = _dual_norm(_subgradient(m, couple.space0), couple.space1)
+    if not (0.0 < t0 and t1 < INF):
+        raise PrecisionError(f"the corner window [{t0:.3e}, {t1:.3e}] of K is not finite")
+    return t0, t1
+
+
+@dataclass(frozen=True)
+class _CornerWindow:
+    """The nodes t_a = t_first <= t0 < t1 <= t_b = t_(first + intervals) of a
+    quadrature grid's log lattice around the corner window [t0, t1] of a
+    unit-binade m (:func:`_corners`), widened by ``_CORNER_GUARD`` first, and
+    the endpoint norms n0 = N0(m), n1 = N1(m) that K equals outside it."""
+
+    first: int
+    intervals: int
+    t_a: float
+    t_b: float
+    n0: float
+    n1: float
+
+    @classmethod
+    def of(cls, m, couple: BanachCouple, cfg: QuadratureConfig) -> "_CornerWindow":
+        t0, t1 = _corners(m, couple)
+        (i, t_a), (j, t_b) = cfg.nodes_around(t0 * (1.0 - _CORNER_GUARD), t1 * (1.0 + _CORNER_GUARD))
+        return cls(i, j - i, t_a, t_b, couple.space0.norm(m), couple.space1.norm(m))
+
+
+class _WindowSlot:
+    """The corner window of the (couple, |x|, grid) asked for last.  It
+    depends on neither theta nor q, and callers ask one pair at several
+    (theta, q) in a row, so the corners are computed once per profile."""
+
+    def __init__(self):
+        self._owner, self._key, self._window = None, None, None
+
+    def get(self, couple: BanachCouple, m, cfg: QuadratureConfig) -> _CornerWindow:
+        key = (m.tobytes(), cfg)
+        with _PROFILE_LOCK:
+            if self._owner is None or self._owner() is not couple or self._key != key:
+                window = _CornerWindow.of(m, couple, cfg)
+                self._owner, self._key, self._window = weakref.ref(couple), key, window
+            return self._window
+
+
+_WINDOWS = _WindowSlot()
+
+
 def _unit_profile(x, couple: BanachCouple, cfg: Optional[QuadratureConfig]):
-    """(profile, m, e) with |x| = 2^e m and m in the unit binade, where
-    ``profile`` is the memoised K profile of m; None for x = 0."""
+    """(profile, m, e, window) with |x| = 2^e m and m in the unit binade,
+    where ``profile`` is the memoised K profile of m on its corner
+    ``window``; None for x = 0."""
     x = finite_vector(x, couple.dim)
     if not np.any(np.abs(x) > 0):
         return None
     m, e = unit_binade(np.abs(x))
-    return (cfg or DEFAULT_QUADRATURE).profile(m, couple), m, e
+    win = _WINDOWS.get(couple, m, cfg or DEFAULT_QUADRATURE)
+    return KProfile.of(couple, m, win.t_a, win.t_b, win.intervals), m, e, win
 
 
 def _scaled(bracket: NormBracket, e: int) -> NormBracket:
@@ -407,7 +497,14 @@ def real_norm(
 ) -> NormBracket:
     """Certified bracket for the real (theta, q) norm of x.
 
-    The bracket is a reduction of the couple's K profile of |x| (see
+    K(t, x) is t ||x||_1 left of the corner window [t0, t1] of |x| and
+    ||x||_0 right of it (see :class:`_CornerWindow`), so both tails are
+    exact: ||x||_1^q t_a^(q(1-theta)) / (q(1-theta)) and
+    ||x||_0^q t_b^(-q theta) / (q theta), or ||x||_1 t_a^(1-theta) and
+    ||x||_0 t_b^(-theta) for q = inf.  Only [t_a, t_b], the corner window
+    widened to nodes of ``cfg``'s log lattice, is profiled: ``cfg`` sets the
+    grid's spacing and phase, not where it ends.  The bracket is a reduction
+    of the couple's K profile of |x| on that window (see
     :class:`~interpol_lab.spaces.KProfile`), which no theta or q changes:
     later calls on the same (couple, x) evaluate no K at levels already
     built.  With ``rtol`` set, the grid is refined level by level, each
@@ -420,11 +517,12 @@ def real_norm(
     unit = _unit_profile(x, couple, cfg)
     if unit is None:
         return NormBracket(0.0, 0.0)
-    profile, m, e = unit
-    ends = (couple.space0.norm(m), couple.space1.norm(m))
+    profile, _, e, win = unit
 
     def at(level):
-        return _padded(*_real_bracket(_CELLS.get(profile, level, q == INF), theta, q, ends))
+        cells = _CELLS.get(profile, level, q == INF)
+        tails = _corner_tails(theta, q, win.n0, win.n1, cells.ts[0], cells.ts[-1])
+        return _padded(*_real_bracket(cells, theta, q, tails))
 
     level, bracket = 0, at(0)
     while rtol is not None and bracket.relative_width > rtol and level < max_refinements:
@@ -442,12 +540,25 @@ def real_norm(
 def windowed_real_norm(
     x, couple: BanachCouple, theta: float, q: float, cfg: Optional[QuadratureConfig] = None
 ) -> NormBracket:
-    """Bracket of the norm restricted to the quadrature window (no tails)."""
+    """Bracket of the norm restricted to the quadrature window [t_min, t_max].
+
+    It reads level 0 of the profile that :func:`real_norm` reduces: the
+    cells that lie in [t_min, t_max], plus the exact pieces of the two
+    tails that lie in it, so no K outside the corner window is evaluated.
+    """
+    cfg = cfg or DEFAULT_QUADRATURE
     unit = _unit_profile(x, couple, cfg)
     if unit is None:
         return NormBracket(0.0, 0.0)
-    profile, _, e = unit
-    return _scaled(_padded(*_real_bracket(_CELLS.get(profile, 0, q == INF), theta, q)), e)
+    profile, _, e, win = unit
+    cells = _CELLS.get(profile, 0, q == INF)
+    # the profile's level-0 nodes i..j are the lattice nodes 0..intervals of cfg
+    i, j = max(-win.first, 0), min(cfg.intervals - win.first, win.intervals)
+    part = slice(0, 0)
+    if i < j:
+        part = slice(*np.searchsorted(cells.ts, profile.brackets(0)[0][[i, j]]))
+    tails = _corner_tails(theta, q, win.n0, win.n1, cells.ts[0], cells.ts[-1], cfg.t_min, cfg.t_max)
+    return _scaled(_padded(*_real_bracket(cells, theta, q, tails, part)), e)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +847,8 @@ def _iterated_real_estimate(x, couple, theta0, theta1, lam, q, cfg):
     ts = outer_cfg.grid()
     kvals = np.min(pairs[:, 0][None, :] + ts[:, None] * pairs[:, 1][None, :], axis=1)
     Klo, Khi = enforce_monotone(kvals.copy(), kvals.copy(), ts)
-    # beyond the window the profile stays at its edge values: K(t_max) to
+    # beyond the grid the profile saturates at its edge values: K(t_max) to
     # the right, the slope K(t_min) / t_min to the left
-    _, up = _real_bracket(_Cells(ts, Klo, Khi, q == INF), lam, q, (Khi[-1], Khi[0] / ts[0]))
+    tails = _corner_tails(lam, q, Khi[-1], Khi[0] / ts[0], ts[0], ts[-1])
+    _, up = _real_bracket(_Cells(ts, Klo, Khi, q == INF), lam, q, tails)
     return up / trivial_couple_constant(lam, q)
