@@ -3,13 +3,16 @@
 Two families are realised:
 
 * the real (theta, q) norm  ( int_0^inf (t^-theta K(t,x))^q dt/t )^(1/q)
-  (sup for q = inf), computed as a certified bracket.  Outside the corner
-  window [t0, t1] of x, K(t, x) is exactly t ||x||_1 or ||x||_0, so the
-  tails there are closed forms; inside, the splitting functional is
-  evaluated on the nodes of a log grid that cover the window (the
-  quadrature config sets the grid's spacing and phase), and enclosed on
-  every cell by the monotone envelopes implied by "K nondecreasing, K(t)/t
-  nonincreasing";
+  (sup for q = inf), computed as a certified bracket.  Over couples with
+  both exponents in {1, inf} and q in {1, 2, inf} it is exact up to
+  round-off: K is the lower envelope of a few lines there
+  (:class:`~interpol_lab.spaces.KEnvelope`), and every piece integrates in
+  closed form.  Otherwise, outside the corner window [t0, t1] of x, K(t, x)
+  is exactly t ||x||_1 or ||x||_0, so the tails there are closed forms;
+  inside, the splitting functional is evaluated on the nodes of a log grid
+  that cover the window (the quadrature config sets the grid's spacing and
+  phase), and enclosed on every cell by the monotone envelopes implied by
+  "K nondecreasing, K(t)/t nonincreasing";
 
 * the Calderon construction on weighted lattices, which is exactly the
   weighted space with  1/p = (1-theta)/p0 + theta/p1  and coordinatewise
@@ -38,12 +41,14 @@ from .spaces import (
     _PROFILE_LOCK,
     INF,
     BanachCouple,
+    KEnvelope,
     KProfile,
     WeightedSpace,
     as_vector,
     dual_exponent,
     enforce_monotone,
     finite_vector,
+    is_polyhedral,
     k_functional,
     magnitude_pnorm,
     unit_binade,
@@ -470,20 +475,95 @@ class _WindowSlot:
 _WINDOWS = _WindowSlot()
 
 
+def _unit(x, couple: BanachCouple):
+    """(m, e) with |x| = 2^e m and m in the unit binade; None for x = 0."""
+    m = np.abs(finite_vector(x, couple.dim))
+    return unit_binade(m) if m.max() > 0 else None
+
+
 def _unit_profile(x, couple: BanachCouple, cfg: Optional[QuadratureConfig]):
     """(profile, m, e, window) with |x| = 2^e m and m in the unit binade,
     where ``profile`` is the memoised K profile of m on its corner
     ``window``; None for x = 0."""
-    x = finite_vector(x, couple.dim)
-    if not np.any(np.abs(x) > 0):
+    unit = _unit(x, couple)
+    if unit is None:
         return None
-    m, e = unit_binade(np.abs(x))
+    m, e = unit
     win = _WINDOWS.get(couple, m, cfg or DEFAULT_QUADRATURE)
     return KProfile.of(couple, m, win.t_a, win.t_b, win.intervals), m, e, win
 
 
 def _scaled(bracket: NormBracket, e: int) -> NormBracket:
     return _finite(float(np.ldexp(bracket.lower, e)), float(np.ldexp(bracket.upper, e)))
+
+
+# ---------------------------------------------------------------------------
+# exact real norms over polyhedral couples, from K's line envelope
+
+_ENVELOPE_QS = (1.0, 2.0, INF)
+
+
+class _EnvelopeCells:
+    """The theta-independent geometry of a K envelope's two bounds within a
+    window (t_min, t_max), which every (theta, q) reduction reuses.
+
+    Each bound is a piecewise-affine f(t) = a_j + b_j t on [breaks_j,
+    breaks_(j + 1)], breaks from 0 to inf, with f = b_0 t on the first piece
+    and a_(-1) on the last (the exact tails of :func:`_corner_tails`).  The
+    upper one is the envelope's supporting lines.  The lower one rests on K
+    concave and K, K/t monotone: chords through the certified lower ends of
+    K at the evaluated abscissae v, t K_lo(v_0) / v_0 left of the first and
+    K_lo(v_last) right of the last.  t^-theta (a + b t) has no interior
+    maximum on a piece, so for q = inf the upper end is read at the ends of
+    the pieces, and the lower end at the abscissae and the window ends, from
+    K_lo itself rather than from chord coefficients that a narrow piece
+    would amplify.
+    """
+
+    def __init__(self, env: KEnvelope, window):
+        self.window = t_min, t_max = window
+        ts, lo = env.ts, env.lo
+        ca, cb = _chords(ts, lo)
+        lower = (np.concatenate([[0.0], ts, [INF]]), np.concatenate([[0.0], ca, [lo[-1]]]),
+                 np.concatenate([[lo[0] / ts[0]], cb, [0.0]]))
+        self.tails, pieces = [], []
+        for breaks, a, b in (env.upper, lower):
+            self.tails.append((a[-1], b[0], breaks[1], breaks[-2]))
+            s, e = np.maximum(breaks[1:-2], t_min), np.minimum(breaks[2:-1], t_max)
+            keep = s < e
+            pieces.append((s[keep], e[keep], a[1:-1][keep], b[1:-1][keep]))
+        self.split = pieces[0][0].size
+        s, e, self.a, self.b = (np.concatenate(parts) for parts in zip(*pieces))
+        self.log_s, self.log_e = np.log(s), np.log(e)
+        # q = inf: the upper lines at both ends of their pieces, K_lo at the
+        # abscissae and window ends inside the window
+        s, e, a, b = pieces[0]
+        self.up_at, self.log_up_t = np.concatenate([a + b * s, a + b * e]), np.concatenate([np.log(s), np.log(e)])
+        at = np.concatenate([ts[(ts >= t_min) & (ts <= t_max)], [t for t in window if 0.0 < t < INF]])
+        self.lo_at = np.where(at < ts[0], at * (lo[0] / ts[0]), np.interp(at, ts, lo))
+        self.log_lo_t = np.log(at)
+
+    def bracket(self, theta, q):
+        """(lo, up) of the real (theta, q) norm, q in {1, 2, inf}, over the window."""
+        (t_min, t_max), k = self.window, self.split
+        up_tails, lo_tails = (_corner_tails(theta, q, *tail, t_min, t_max) for tail in self.tails)
+        if q == INF:
+            up = np.max(self.up_at * np.exp(-theta * self.log_up_t), initial=0.0)
+            return float(np.max(self.lo_at * np.exp(-theta * self.log_lo_t))), max(up, *up_tails)
+        parts = _affine_power_integral(self.log_s, self.log_e, self.a, self.b, theta, q)
+        up, lo = float(np.sum(parts[:k])) + sum(up_tails), float(np.sum(parts[k:])) + sum(lo_tails)
+        return lo ** (1.0 / q), up ** (1.0 / q)
+
+
+def _envelope_norm(x, couple: BanachCouple, theta, q, window=(0.0, INF)) -> NormBracket:
+    """The bracket of the real (theta, q) norm of x over ``window`` from the
+    memoised K envelope of its unit-binade |x| (:class:`KEnvelope`)."""
+    unit = _unit(x, couple)
+    if unit is None:
+        return NormBracket(0.0, 0.0)
+    m, e = unit
+    cells = KEnvelope.of(couple, m).reduction(window, _EnvelopeCells)
+    return _scaled(_padded(*cells.bracket(theta, q)), e)
 
 
 def real_norm(
@@ -496,6 +576,12 @@ def real_norm(
     max_refinements: int = 6,
 ) -> NormBracket:
     """Certified bracket for the real (theta, q) norm of x.
+
+    Over a couple with both exponents in {1, inf} and q in {1, 2, inf} the
+    bracket is a reduction of K's line envelope (:class:`_EnvelopeCells`),
+    exact up to a 1e-12 round-off pad on each end: ``cfg`` and
+    ``max_refinements`` do not change it, and an ``rtol`` below its width
+    raises :class:`PrecisionError` with it attached.  Otherwise:
 
     K(t, x) is t ||x||_1 left of the corner window [t0, t1] of |x| and
     ||x||_0 right of it (see :class:`_CornerWindow`), so both tails are
@@ -514,21 +600,24 @@ def real_norm(
     with the best bracket attached.
     """
     FunctorSpec("real", theta, q)  # parameter validation
-    unit = _unit_profile(x, couple, cfg)
-    if unit is None:
-        return NormBracket(0.0, 0.0)
-    profile, _, e, win = unit
+    if q in _ENVELOPE_QS and is_polyhedral(couple):
+        bracket = _envelope_norm(x, couple, theta, q)
+    else:
+        unit = _unit_profile(x, couple, cfg)
+        if unit is None:
+            return NormBracket(0.0, 0.0)
+        profile, _, e, win = unit
 
-    def at(level):
-        cells = _CELLS.get(profile, level, q == INF)
-        tails = _corner_tails(theta, q, win.n0, win.n1, cells.ts[0], cells.ts[-1])
-        return _padded(*_real_bracket(cells, theta, q, tails))
+        def at(level):
+            cells = _CELLS.get(profile, level, q == INF)
+            tails = _corner_tails(theta, q, win.n0, win.n1, cells.ts[0], cells.ts[-1])
+            return _padded(*_real_bracket(cells, theta, q, tails))
 
-    level, bracket = 0, at(0)
-    while rtol is not None and bracket.relative_width > rtol and level < max_refinements:
-        level += 1
-        bracket = at(level)
-    bracket = _scaled(bracket, e)
+        level, bracket = 0, at(0)
+        while rtol is not None and bracket.relative_width > rtol and level < max_refinements:
+            level += 1
+            bracket = at(level)
+        bracket = _scaled(bracket, e)
     if rtol is not None and bracket.relative_width > rtol:
         raise PrecisionError(
             f"real norm bracket width {bracket.relative_width:.3e} above {rtol:.3e}",
@@ -542,11 +631,17 @@ def windowed_real_norm(
 ) -> NormBracket:
     """Bracket of the norm restricted to the quadrature window [t_min, t_max].
 
-    It reads level 0 of the profile that :func:`real_norm` reduces: the
-    cells that lie in [t_min, t_max], plus the exact pieces of the two
-    tails that lie in it, so no K outside the corner window is evaluated.
+    Over a couple with both exponents in {1, inf} and q in {1, 2, inf} it
+    clips the pieces of K's line envelope, which :func:`real_norm` reduces,
+    to [t_min, t_max]; the envelope evaluates K only inside the corner
+    window.  Otherwise it reads level 0 of the profile that
+    :func:`real_norm` reduces: the cells that lie in [t_min, t_max], plus
+    the exact pieces of the two tails that lie in it, so no K outside the
+    corner window is evaluated.
     """
     cfg = cfg or DEFAULT_QUADRATURE
+    if q in _ENVELOPE_QS and is_polyhedral(couple):
+        return _envelope_norm(x, couple, theta, q, (cfg.t_min, cfg.t_max))
     unit = _unit_profile(x, couple, cfg)
     if unit is None:
         return NormBracket(0.0, 0.0)

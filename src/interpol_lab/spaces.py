@@ -16,7 +16,9 @@ safeguarded Newton solve for (2, 2) and (1, 2), and for every other pair
 one scalar root per t with a duality-based lower bound, over the sup
 budget for (p, inf) and along the curve of optimal splits otherwise.
 ``k_profile`` is that kernel over a grid; ``k_functional`` is its
-one-point case and also returns the splitter.
+one-point case and also returns the splitter.  For pairs with both
+exponents in {1, inf}, ``KEnvelope`` finds K for every t at once as the
+lower envelope of a few supporting lines.
 
 Two structural facts keep everything real and low-dimensional:
 
@@ -125,8 +127,9 @@ class BanachCouple:
     """Ordered pair of weighted spaces on one coordinate set.
 
     A couple is immutable (frozen spaces, read-only weights), so it keeps a
-    bounded memo of the K profiles computed over it (see :class:`KProfile`);
-    the memo is freed with the couple.
+    bounded memo of the K profiles and envelopes computed over it (see
+    :class:`KProfile` and :class:`KEnvelope`); the memo is freed with the
+    couple.
     """
 
     space0: WeightedSpace
@@ -220,7 +223,9 @@ def _linf_candidates(m, w0, w1):
     """Kink locations of  b -> b + t * max_i w1_i (m_i - b/w0_i)_+  (t-free part).
 
     Returns arrays (b_c, q_c) with q_c = max_i w1_i (m_i - b_c/w0_i)_+ so that
-    K(t) = min_c (b_c + t q_c) exactly for every t.
+    K(t) = min_c (b_c + t q_c) exactly for every t.  A coordinate that the
+    candidate covers (b_c >= w0_i m_i) leaves exactly 0: m_i - b_c/w0_i can
+    round to an ulp above 0 there, and t multiplies it.
     """
     z = w0 * m
     cands = [0.0]
@@ -236,11 +241,13 @@ def _linf_candidates(m, w0, w1):
             if 0.0 < b < np.max(z):
                 cands.append(b)
     b_c = np.array(sorted(set(cands)))
-    q_c = np.max(
-        np.maximum(w1[None, :] * (m[None, :] - b_c[:, None] / w0[None, :]), 0.0),
-        axis=1,
-    ) if m.size else np.zeros_like(b_c)
+    q_c = np.max(w1 * _remainders(m, b_c[:, None], w0, z), axis=1) if m.size else np.zeros_like(b_c)
     return b_c, q_c
+
+
+def _remainders(m, budget, w, covered):
+    """(m - budget / w)_+, exactly 0 where budget >= covered = w m."""
+    return np.where(budget >= covered, 0.0, np.maximum(m - budget / w, 0.0))
 
 
 def k_closed_form_linf(t: float, x, couple: BanachCouple) -> float:
@@ -280,11 +287,13 @@ def _shares(num, den):
 
 
 def _k_kernel(m, couple: BanachCouple, ts: np.ndarray, tol: float):
-    """Certified (lo, hi, lam) of K(t, m) for every t of a positive array.
+    """Certified (lo, hi, lam, lam1) of K(t, m) for every t of a positive array.
 
-    ``m`` is |x|; row i of ``lam`` (T x d) holds the shrinkage factors of a
-    split x0 = lam x, x1 = x - x0 whose objective at ts[i] is hi[i] up to
-    round-off.  The only dispatch on (p0, p1) lives here: closed forms for
+    ``m`` is |x|; rows i of ``lam`` and ``lam1`` (T x d) hold the shares
+    x0 = lam x, x1 = lam1 x of a split whose objective at ts[i] is hi[i] up
+    to round-off.  lam + lam1 = 1 up to round-off, and each is computed from
+    its own formula, so a small share keeps its relative accuracy (1 - lam
+    would lose it).  The only dispatch on (p0, p1) lives here: closed forms for
     (1, 1), (inf, inf) and (1, inf), safeguarded Newton for (2, 2) and
     (1, 2), and a scalar root per t on the support of m otherwise; (inf, p)
     and (2, 1) are t-swapped onto (p, inf) and (1, 2) first.  All run on the
@@ -292,11 +301,12 @@ def _k_kernel(m, couple: BanachCouple, ts: np.ndarray, tol: float):
     there, raises :class:`PrecisionError` with its bracket."""
     T, d = ts.size, m.size
     if not np.any(m > 0):
-        return np.zeros(T), np.zeros(T), np.zeros((T, d))
+        return np.zeros(T), np.zeros(T), np.zeros((T, d)), np.zeros((T, d))
     s0, s1 = couple.space0, couple.space1
     if s0.equals(s1):
         lo = np.minimum(1.0, ts) * magnitude_pnorm(m, s0.weights, s0.p)
-        return lo, lo, (ts[:, None] > 1.0) * np.ones(d)
+        lam = (ts[:, None] > 1.0) * np.ones(d)
+        return lo, lo, lam, 1.0 - lam
     (w0, p0), (w1, p1), t_in = (s0.weights, s0.p), (s1.weights, s1.p), ts
     # K(t, x; X0, X1) = t K(1/t, x; X1, X0) with the two parts exchanged
     swap = (p0 == INF and p1 != INF) or (p0, p1) == (2, 1)
@@ -305,48 +315,86 @@ def _k_kernel(m, couple: BanachCouple, ts: np.ndarray, tol: float):
     mu, e = unit_binade(m)
     path, sup = _K_PATHS.get((p0, p1)), mu > 0
     if path is not None:
-        lo, hi, lam = path(mu, w0, w1, ts)
+        lo, hi, lam, lam1 = path(mu, w0, w1, ts)
     else:
-        lam = np.zeros((T, d))
+        lam, lam1 = np.zeros((T, d)), np.zeros((T, d))
         root = _k_sup_budget if p1 == INF else _k_finite
-        lo, hi, lam[:, sup] = root(mu[sup], w0[sup], p0, w1[sup], p1, ts)
+        lo, hi, lam[:, sup], lam1[:, sup] = root(mu[sup], w0[sup], p0, w1[sup], p1, ts)
     certified = path is not None or (hi - lo <= tol * np.maximum(1.0, hi))
     lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
     if swap:
-        lo, hi, lam = t_in * lo, t_in * hi, 1.0 - lam
+        lo, hi, lam, lam1 = t_in * lo, t_in * hi, lam1, lam
     failed = ~(certified & np.isfinite(lo) & np.isfinite(hi))
     if np.any(failed):
         i = int(np.argmax(failed))
         msg = f"K bracket [{lo[i]:.6e}, {hi[i]:.6e}] at t = {t_in[i]:.6e} is not finite or wider"
         raise PrecisionError(f"{msg} than tol = {tol:.3e}", bracket=(float(lo[i]), float(hi[i])))
-    return lo, hi, lam
+    return lo, hi, lam, lam1
 
 
 def _k_l1_l1(m, w0, w1, ts):
     tw1 = ts[:, None] * w1[None, :]
     vals = np.sum(m[None, :] * np.minimum(w0[None, :], tw1), axis=1)
-    return vals, vals, (w0[None, :] <= tw1) * 1.0
+    lam = (w0[None, :] <= tw1) * 1.0
+    return vals, vals, lam, 1.0 - lam
+
+
+# The (inf, inf) and (1, inf) splits below come from the kinks of a
+# piecewise-linear cost, and their costs cancel where two kinks nearly
+# coincide (weights far apart); K itself is read from the dual, a sum of
+# nonnegative terms, so it keeps its relative accuracy there.
 
 
 def _k_linf_linf(m, w0, w1, ts):
+    z = w0 * m
     b_c, q_c = _linf_candidates(m, w0, w1)
-    vals = b_c[None, :] + ts[:, None] * q_c[None, :]
-    best = np.argmin(vals, axis=1)
-    vals = vals[np.arange(ts.size), best]
-    lam = np.minimum(1.0, _shares(b_c[best][:, None], (w0 * m)[None, :]))
-    return vals, vals, lam
+    b = b_c[np.argmin(b_c[None, :] + ts[:, None] * q_c[None, :], axis=1)][:, None]
+    vals = _sup_sup_dual(z, w0 / w1, ts)
+    return vals, vals, np.minimum(1.0, _shares(b, z)), _shares(_remainders(m, b, w0, z), m)
+
+
+def _sup_sup_dual(v, rho, ts):
+    """K(t) for (inf, inf) by duality: the largest sum a_i v_i over a >= 0 with
+    sum a_i <= 1 and sum a_i rho_i <= t (v = w0 m, rho = w0 / w1, a_i = z_i / w0_i).
+    That is the least concave majorant of the origin and the points (rho_i,
+    v_i), constant beyond its highest point; between two hull vertices it is
+    a convex combination of their v."""
+    hull = [(0.0, 0.0)]
+    for r, val in zip(*(a[np.lexsort((-v, rho))] for a in (rho, v))):
+        if val <= hull[-1][1]:
+            continue  # below the nondecreasing majorant
+        while len(hull) >= 2:
+            (ra, va), (rb, vb) = hull[-2], hull[-1]
+            if (vb - va) * (r - ra) > (val - va) * (rb - ra):
+                break
+            hull.pop()  # not above the chord to the new point
+        hull.append((r, val))
+    hr, hv = (np.array(a) for a in zip(*hull))
+    j = np.minimum(np.searchsorted(hr, ts), hr.size - 1)
+    ra, rb, va, vb = hr[j - 1], hr[j], hv[j - 1], hv[j]
+    inner = (va * (rb - ts) + vb * (ts - ra)) / (rb - ra)
+    return np.where(ts < hr[-1], inner, hv[-1])
 
 
 def _k_l1_linf(m, w0, w1, ts):
     # budget u on the sup-side; the remaining l1 cost is piecewise linear in u
     z = m * w1
     cands = np.unique(np.concatenate([[0.0], z[z > 0]]))
-    base = np.array([np.sum(w0 * np.maximum(m - u / w1, 0.0)) for u in cands])
-    vals = base[None, :] + ts[:, None] * cands[None, :]
-    best = np.argmin(vals, axis=1)
-    vals = vals[np.arange(ts.size), best]
-    lam = 1.0 - np.minimum(1.0, _shares(cands[best][:, None], z[None, :]))
-    return vals, vals, lam
+    base = np.sum(w0 * _remainders(m, cands[:, None], w1, z), axis=1)
+    u = cands[np.argmin(base[None, :] + ts[:, None] * cands[None, :], axis=1)][:, None]
+    vals = _l1_sup_dual(m, w0, w1, ts)
+    return vals, vals, _shares(_remainders(m, u, w1, z), m), np.minimum(1.0, _shares(u, z))
+
+
+def _l1_sup_dual(m, w0, w1, ts):
+    """K(t) for (1, inf) by duality: the largest sum m_i z_i over 0 <= z <= w0
+    with sum z_i / w1_i <= t, filled greedily by decreasing m_i w1_i, each z_i
+    costing up to w0_i / w1_i of the budget t."""
+    order = np.argsort(-(m * w1), kind="stable")
+    cost, w0, w1 = (w0 / w1)[order], w0[order], w1[order]
+    spent = np.concatenate([[0.0], np.cumsum(cost)[:-1]])
+    left = np.clip(ts[:, None] - spent, 0.0, cost)
+    return np.sum(m[order] * np.where(left >= cost, w0, w1 * left), axis=1)
 
 
 def _k_l2_l2(m, w0, w1, ts):
@@ -364,6 +412,7 @@ def _k_l2_l2(m, w0, w1, ts):
     lo[zero_side] = hi[zero_side] = (ts * n1)[zero_side]
     lo[full_side] = hi[full_side] = n0
     lam[full_side] = 1.0
+    lam1 = 1.0 - lam
     interior = ~(zero_side | full_side)
     if np.any(interior):
         ti = ts[interior]
@@ -383,7 +432,8 @@ def _k_l2_l2(m, w0, w1, ts):
         lo[interior] = lower
         hi[interior] = upper
         lam[interior] = _shares(u, m[None, :])
-    return lo, hi, lam
+        lam1[interior] = _shares(v, m[None, :])
+    return lo, hi, lam, lam1
 
 
 _NEWTON_MAX_STEPS = 100
@@ -445,6 +495,7 @@ def _k_l1_l2(m, w0, w1, ts):
     full = magnitude_pnorm((m > 0) * 1.0, w0 / w1, 2) <= ts
     lo[full] = hi[full] = float(np.sum(m * w0))
     lam0[full] = 1.0
+    lam1 = 1.0 - lam0
     interior = ~full
     if np.any(interior):
         ti = ts[interior]
@@ -471,7 +522,8 @@ def _k_l1_l2(m, w0, w1, ts):
         lo[interior] = np.minimum(lower, upper)
         hi[interior] = upper
         lam0[interior] = _shares(u, m[None, :])
-    return lo, hi, lam0
+        lam1[interior] = _shares(v, m[None, :])
+    return lo, hi, lam0, lam1
 
 
 
@@ -589,7 +641,7 @@ def _split_logits(c, p0, p1, y=None):
 
 
 def _k_finite(m, w0, p0, w1, p1, ts):
-    """(lower, upper, lam) of K for finite p0, p1 and m > 0, one root per t.
+    """(lower, upper, lam, lam1) of K for finite p0, p1 and m > 0, one root per t.
 
     Along the curve of :func:`_split_logits` (s = log rho) the objective moves with
     the sign of G(s) = s - log t - (p0 - 1) log N0(a) + (p1 - 1) log N1(m - a), which
@@ -627,11 +679,11 @@ def _k_finite(m, w0, p0, w1, p1, ts):
     upper = _rows_pnorm(a, w0, p0) + ts * _rows_pnorm(v, w1, p1)
     z0, z1 = _subgradient(a, w0, p0), ts[:, None] * _subgradient(v, w1, p1)
     cands = [z0, z1, 0.5 * (z0 + z1), np.minimum(z0, z1)]
-    return np.minimum(_dual_lower(m, w0, p0, w1, p1, ts, cands), upper), upper, expit(y)
+    return np.minimum(_dual_lower(m, w0, p0, w1, p1, ts, cands), upper), upper, expit(y), expit(-y)
 
 
 def _k_sup_budget(m, w0, p0, w1, p1, ts):
-    """(lower, upper, lam) of K for (p0, inf), 1 < p0 < inf, m > 0, one root per t.
+    """(lower, upper, lam, lam1) of K for (p0, inf), 1 < p0 < inf, m > 0, one root per t.
 
     With sup budget u = ||x1||_{inf,w1} the best remainder is y = (m - u/w1)_+, and
     K(t) = min_u N0(y) + t u is optimal where t = R(u) = ||grad N0(y) / w1||_1, which
@@ -666,7 +718,8 @@ def _k_sup_budget(m, w0, p0, w1, p1, ts):
         u[inner], y[inner] = hi - delta, np.maximum(z - hi[:, None] + delta[:, None], 0.0) / w1
     upper = _rows_pnorm(y, w0, p0) + ts * u
     cands = [_subgradient(y, w0, p0), _subgradient(top, w0, p0)]
-    return np.minimum(_dual_lower(m, w0, p0, w1, INF, ts, cands), upper), upper, y / m
+    lower = np.minimum(_dual_lower(m, w0, p0, w1, INF, ts, cands), upper)
+    return lower, upper, y / m, np.minimum(1.0, u[:, None] / z)
 
 
 # ---------------------------------------------------------------------------
@@ -680,16 +733,20 @@ def k_functional(t: float, x, couple: BanachCouple, tol: float = 1e-8) -> KEvalu
     grid.  Gap 0 on the closed forms, round-off on the Newton solves; any
     other pair runs a scalar root and must certify a gap below
     ``tol`` * max(1, upper) at |x|'s unit binade (else :class:`PrecisionError`
-    with the bracket).  The splitter is (lam x, x - lam x).
+    with the bracket).  The splitter (x0, x1) takes, coordinate by
+    coordinate, the smaller part as its share of x and the larger as the
+    rest, x - part, so both parts keep their relative accuracy.
     """
     if t <= 0:
         raise ArgumentError("t must be positive")
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     x = finite_vector(x, couple.dim)
-    lo, hi, lam = _k_kernel(np.abs(x), couple, np.array([t], dtype=float), tol)
-    x0 = lam[0] * x
-    return KEvaluation(t, float(lo[0]), (x0, x - x0), float(hi[0] - lo[0]))
+    lo, hi, lam, lam1 = _k_kernel(np.abs(x), couple, np.array([t], dtype=float), tol)
+    small = lam[0] <= lam1[0]
+    x0 = np.where(small, lam[0] * x, x - lam1[0] * x)
+    x1 = np.where(small, x - lam[0] * x, lam1[0] * x)
+    return KEvaluation(t, float(lo[0]), (x0, x1), float(hi[0] - lo[0]))
 
 
 def k_profile(x, couple: BanachCouple, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -704,7 +761,7 @@ def k_profile(x, couple: BanachCouple, ts: np.ndarray) -> Tuple[np.ndarray, np.n
     if np.any(ts <= 0):
         raise ArgumentError("t grid must be positive")
     m = np.abs(finite_vector(x, couple.dim))
-    lo, hi, _ = _k_kernel(m, couple, ts, 1e-9)
+    lo, hi = _k_kernel(m, couple, ts, 1e-9)[:2]
     s0, s1 = couple.space0, couple.space1
     cap = np.minimum(magnitude_pnorm(m, s0.weights, s0.p), ts * magnitude_pnorm(m, s1.weights, s1.p))
     hi = np.minimum(hi, cap)
@@ -732,10 +789,26 @@ def enforce_monotone(Klo: np.ndarray, Khi: np.ndarray, ts: Optional[np.ndarray] 
 PROFILE_MEMO_SIZE = 8
 # Guards the mutable profile state that calls from several threads would
 # share: each couple's profile memo, each profile's refined store and
-# off-grid nodes, and the two slots of ``functors`` (the per-level cells
-# of the profile reduced last, and the corner window asked for last).
+# off-grid nodes, each envelope's reductions, and the two slots of
+# ``functors`` (the per-level cells of the profile reduced last, and the
+# corner window asked for last).
 # Reentrant, because building cells refines the profile under it.
 _PROFILE_LOCK = threading.RLock()
+
+
+def _memoised(couple: BanachCouple, key, build: Callable):
+    """The couple's memo entry under key, built by ``build()`` if absent; the
+    memo keeps the ``PROFILE_MEMO_SIZE`` most recently used entries."""
+    memo = couple._profiles
+    with _PROFILE_LOCK:
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build()
+            while len(memo) > PROFILE_MEMO_SIZE:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+    return value
 
 
 def _frozen(*arrays):
@@ -782,16 +855,7 @@ class KProfile:
         keeps the ``PROFILE_MEMO_SIZE`` most recently used profiles."""
         m = np.abs(as_vector(x, couple.dim))
         key = (m.tobytes(), float(t_min), float(t_max), int(intervals))
-        memo = couple._profiles
-        with _PROFILE_LOCK:
-            profile = memo.get(key)
-            if profile is None:
-                profile = memo[key] = cls(couple, m, t_min, t_max, intervals)
-                while len(memo) > PROFILE_MEMO_SIZE:
-                    memo.popitem(last=False)
-            else:
-                memo.move_to_end(key)
-        return profile
+        return _memoised(couple, key, lambda: cls(couple, m, t_min, t_max, intervals))
 
     def _refine_to(self, level: int) -> None:
         while self._level < level:
@@ -847,3 +911,100 @@ class KProfile:
         at = np.searchsorted(ts, extra)
         ts, lo, hi = (np.insert(a, at, b) for a, b in ((ts, extra), (lo, xlo), (hi, xhi)))
         return (ts,) + enforce_monotone(lo, hi, ts)
+
+
+# ---------------------------------------------------------------------------
+# the polyhedral K envelope: every t at once from a few supporting lines
+
+
+def is_polyhedral(couple: BanachCouple) -> bool:
+    """Both exponents in {1, inf}: K is then the lower envelope of finitely
+    many lines t -> N0(x0) + t N1(x1), one per split."""
+    return couple.space0.p in (1.0, INF) and couple.space1.p in (1.0, INF)
+
+
+# a split's line is rounded up by (d + 2) eps = 2 (d + 2) units of round-off,
+# twice the d + 1 that each norm of a part (one of them a difference) takes
+_LINE_ULPS = np.finfo(float).eps
+# sandwich steps are a few per line of K; this only bounds round-off loops
+_ENVELOPE_MAX_EVALUATIONS = 256
+
+
+class KEnvelope:
+    """Certified piecewise-affine bounds on K(t, m) for every t > 0 over a
+    polyhedral couple (:func:`is_polyhedral`), by the sandwich method (G.
+    Rote, Computing 48, 1992).
+
+    Starting from the corner lines t N1(m) and N0(m), K is evaluated by
+    :func:`k_functional` at the crossing x of two adjacent lines A, B.  The
+    split (x0, x1) found there gives the supporting line N0(x0) + t N1(x1)
+    >= K, rounded outward.  If it does not go below min(A, B) at x, K is A
+    then B on the segment between their touching points (K is concave and
+    touches both lines); otherwise it is inserted and both halves are
+    processed.  A crossing that is not finite or not strictly inside the
+    segment (nearly parallel lines) closes the segment without evaluating.
+
+    ``upper`` = (breaks, a, b) with breaks[0] = 0, breaks[-1] = inf: on
+    [breaks[j], breaks[j + 1]] K(t) <= a_j + b_j t, each piece one of the
+    supporting lines, so the bound is sound whatever round-off placed the
+    breaks; the first piece is t N1(m), the last N0(m).  ``ts`` and ``lo``
+    are the evaluated abscissae in increasing order and the certified lower
+    ends of K there.  Obtain envelopes through :meth:`of`.
+    """
+
+    def __init__(self, couple: BanachCouple, m: np.ndarray):
+        if not is_polyhedral(couple):
+            raise ArgumentError("a K envelope needs both exponents in {1, inf}")
+        couple = BanachCouple(couple.space0, couple.space1)  # memo-free, as in KProfile
+        m = np.array(m, dtype=float)
+        s0, s1 = couple.space0, couple.space1
+        grow = 1.0 + _LINE_ULPS * (m.size + 2)
+        close = 4.0 * (grow - 1.0)
+        evaluated, breaks, a, b = [], [0.0], [], []
+
+        def piece(end, line):
+            breaks.append(end)
+            a.append(line[0])
+            b.append(line[1])
+
+        def sandwich(A, B, tl, tr):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                x = (B[0] - A[0]) / (A[1] - B[1])
+            if not (len(evaluated) < _ENVELOPE_MAX_EVALUATIONS and tl < x < tr):
+                split = min(max(x, tl), tr) if x == x else tl
+                piece(split, A)
+                piece(tr, B)
+                return
+            ev = k_functional(x, m, couple)
+            evaluated.append((x, ev.lower))
+            x0, x1 = ev.splitter
+            L = (s0.norm(x0) * grow, s1.norm(x1) * grow)
+            below = L[0] + L[1] * x < min(A[0] + A[1] * x, B[0] + B[1] * x) * (1.0 - close)
+            if below and B[1] < L[1] < A[1]:
+                sandwich(A, L, tl, x)
+                sandwich(L, B, x, tr)
+            else:
+                piece(x, A)
+                piece(tr, B)
+
+        sandwich((0.0, s1.norm(m)), (s0.norm(m), 0.0), 0.0, INF)
+        if not evaluated:
+            raise PrecisionError("the corner lines of K do not cross at a finite t > 0")
+        self.ts, self.lo = _frozen(*np.array(sorted(evaluated)).T.copy())
+        self.upper = _frozen(np.array(breaks), np.array(a), np.array(b))
+        self._reductions = {}
+
+    def reduction(self, key, build: Callable):
+        """``build(self, key)``, memoised per key: what a reduction of the
+        envelope reads that depends on K alone."""
+        with _PROFILE_LOCK:
+            if key not in self._reductions:
+                self._reductions[key] = build(self, key)
+            return self._reductions[key]
+
+    @classmethod
+    def of(cls, couple: BanachCouple, x) -> "KEnvelope":
+        """The envelope of x over the couple, memoised beside the couple's K
+        profiles (:meth:`KProfile.of`) and keyed by the bytes of |x|."""
+        m = np.abs(as_vector(x, couple.dim))
+        return _memoised(couple, (m.tobytes(),), lambda: cls(couple, m))

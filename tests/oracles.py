@@ -6,10 +6,14 @@ bounded local descent, and the Calderon oracle enumerates factorisations on
 spheres.  ``scalar_k_oracle`` keeps the one-t-at-a-time K solvers that the
 vectorised K kernel replaced, and ``full_sup_budget_search`` the 200-step
 ternary search over the sup budget that the (p, inf) root replaced.
+``PolyhedralK`` computes K and the real (theta, q) norms of couples with
+both exponents in {1, inf} in 50-digit arithmetic from the candidate lines
+of the closed forms, independently of the library's K kernel.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import optimize
 
@@ -329,3 +333,143 @@ def full_sup_budget_search(t, m, w0, p0, w1):
     lower = float(_dual_lower(m, w0, p0, w1, INF, t, cands))
     lower = min(lower, best_val)
     return lower, best_val, 1.0 - np.minimum(1.0, _shares(u, w1 * m))
+
+
+class PolyhedralK:
+    """K(t, x) and the real norms of x over a couple with p0, p1 in {1, inf},
+    in 50-digit arithmetic.
+
+    For these pairs K(t) = min_j (a_j + b_j t) over finitely many candidate
+    lines, each the cost (N0(x0), N1(x1)) of one split:
+      (1, 1):     for every threshold, the coordinates with the smallest
+                  w0_i / w1_i sent to X0, the rest to X1;
+      (1, inf):   sup budget u in {0} and {w1_i m_i}, remainders (m_i - u/w1_i)_+;
+      (inf, inf): X0 budget b in {0}, {w0_i m_i} and the pairwise crossings of
+                  the pieces w1_i (m_i - b/w0_i), remainders likewise;
+      (inf, 1):   the (1, inf) lines of the reversed couple, (a, b) exchanged.
+    A remainder is exactly 0 once its coordinate is covered (u >= w1_i m_i,
+    b >= w0_i m_i).  The lower envelope of the lines is the convex-hull chain
+    of the lines that are not dominated, and each real norm is a sum of exact
+    integrals of t^(-theta q - 1) (a + b t)^q over its pieces.
+    """
+
+    DPS = 50
+
+    def __init__(self, x, couple):
+        p0, p1 = couple.space0.p, couple.space1.p
+        if not {p0, p1} <= {1.0, INF}:
+            raise ValueError(f"({p0}, {p1}) is not a polyhedral pair")
+        with mpmath.workdps(self.DPS):
+            m = [abs(mpmath.mpc(complex(v))) for v in np.asarray(x, dtype=complex)]
+            w0 = [mpmath.mpf(float(w)) for w in couple.space0.weights]
+            w1 = [mpmath.mpf(float(w)) for w in couple.space1.weights]
+            if (p0, p1) == (INF, 1.0):
+                lines = [(b, a) for a, b in self._l1_linf(m, w1, w0)]
+            elif (p0, p1) == (1.0, INF):
+                lines = self._l1_linf(m, w0, w1)
+            elif p0 == 1.0:
+                lines = self._l1_l1(m, w0, w1)
+            else:
+                lines = self._linf_linf(m, w0, w1)
+            self.lines = lines
+            self.hull = self._lower_hull(lines)
+            # the hull's line j is K on [c_j, c_(j+1)], c_0 = 0, c_n = inf
+            self.breaks = [mpmath.mpf(0)] + [
+                (a2 - a1) / (b1 - b2) for (a1, b1), (a2, b2) in zip(self.hull, self.hull[1:])
+            ] + [mpmath.inf]
+
+    @staticmethod
+    def _l1_l1(m, w0, w1):
+        order = sorted(range(len(m)), key=lambda i: w0[i] / w1[i])
+        return [
+            (sum(m[i] * w0[i] for i in order[:k]), sum(m[i] * w1[i] for i in order[k:]))
+            for k in range(len(m) + 1)
+        ]
+
+    @staticmethod
+    def _remainder(m_i, budget, w_i):
+        return mpmath.mpf(0) if budget >= w_i * m_i else m_i - budget / w_i
+
+    @classmethod
+    def _l1_linf(cls, m, w0, w1):
+        d = len(m)
+        budgets = [mpmath.mpf(0)] + [w1[i] * m[i] for i in range(d)]
+        return [(sum(w0[i] * cls._remainder(m[i], u, w1[i]) for i in range(d)), u) for u in budgets]
+
+    @classmethod
+    def _linf_linf(cls, m, w0, w1):
+        d = len(m)
+        top = max(w0[i] * m[i] for i in range(d))
+        budgets = [mpmath.mpf(0)] + [w0[i] * m[i] for i in range(d)]
+        r = [w1[i] / w0[i] for i in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                if r[i] != r[j]:
+                    b = (w1[j] * m[j] - w1[i] * m[i]) / (r[j] - r[i])
+                    if 0 < b < top:
+                        budgets.append(b)
+        return [(b, max(w1[i] * cls._remainder(m[i], b, w0[i]) for i in range(d))) for b in budgets]
+
+    @staticmethod
+    def _lower_hull(lines):
+        # the lines no other line lies below everywhere on t > 0, by
+        # increasing a (so decreasing b); then drop every line that is not
+        # strictly below its neighbours' crossing
+        front = []
+        for a, b in sorted(lines):
+            if not front or b < front[-1][1]:
+                front.append((a, b))
+        hull = []
+        for a, b in front:
+            while len(hull) >= 2:
+                (a1, b1), (a2, b2) = hull[-2], hull[-1]
+                # hull[-1] is useless iff it is not below the crossing of its
+                # neighbours: (a2 - a1)(b1 - b) >= (a - a1)(b1 - b2)
+                if (a2 - a1) * (b1 - b) >= (a - a1) * (b1 - b2):
+                    hull.pop()
+                else:
+                    break
+            hull.append((a, b))
+        return hull
+
+    def k(self, t):
+        """K(t) as the minimum over every candidate line (not the hull)."""
+        with mpmath.workdps(self.DPS):
+            t = mpmath.mpf(float(t))
+            return min(a + b * t for a, b in self.lines)
+
+    def _pieces(self, lo, hi):
+        for (a, b), c0, c1 in zip(self.hull, self.breaks, self.breaks[1:]):
+            s, e = max(c0, lo), min(c1, hi)
+            if s < e:
+                yield a, b, s, e
+
+    def norm(self, theta, q, window=(0.0, INF)):
+        """The real (theta, q) norm, q in {1, 2, inf}, restricted to the
+        window [t_min, t_max] of t, as a float."""
+        with mpmath.workdps(self.DPS):
+            theta = mpmath.mpf(float(theta))
+            lo, hi = mpmath.mpf(float(window[0])), mpmath.mpf(float(window[1]))
+            if q == INF:
+                # t^-theta (a + b t) has no interior maximum: the piece ends
+                best = mpmath.mpf(0)
+                for a, b, s, e in self._pieces(lo, hi):
+                    for t in (s, e):
+                        if 0 < t < mpmath.inf:
+                            best = max(best, t**-theta * (a + b * t))
+                return float(best)
+            q = int(q)
+            total = mpmath.mpf(0)
+            for a, b, s, e in self._pieces(lo, hi):
+                for k in range(q + 1):
+                    coef = mpmath.binomial(q, k) * a ** (q - k) * b**k
+                    if coef == 0:
+                        continue
+                    ex = k - theta * q  # int_s^e t^(ex - 1) dt
+                    if ex == 0:
+                        total += coef * (mpmath.log(e) - mpmath.log(s))
+                    else:
+                        top = 0 if e == mpmath.inf else e**ex
+                        bottom = 0 if s == 0 else s**ex
+                        total += coef * (top - bottom) / ex
+            return float(total ** (mpmath.mpf(1) / q))

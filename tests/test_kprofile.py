@@ -54,14 +54,22 @@ def test_answers_do_not_depend_on_call_history(pair):
 
 
 def counting_k_profile(monkeypatch):
+    """The abscissae of every K evaluation: each k_profile grid, and each
+    k_functional point (the line envelope of polyhedral couples) as a
+    one-point array."""
     evaluated = []
-    inner = spaces.k_profile
+    profile, functional = spaces.k_profile, spaces.k_functional
 
     def counting(x, couple, ts):
         evaluated.append(np.array(ts, dtype=float))
-        return inner(x, couple, ts)
+        return profile(x, couple, ts)
+
+    def counting_point(t, x, couple, tol=1e-8):
+        evaluated.append(np.array([t], dtype=float))
+        return functional(t, x, couple, tol)
 
     monkeypatch.setattr(spaces, "k_profile", counting)
+    monkeypatch.setattr(spaces, "k_functional", counting_point)
     return evaluated
 
 
@@ -111,7 +119,10 @@ def test_each_node_is_evaluated_once(monkeypatch, p0, p1):
             first[th, q] = real_norm(x, C, th, q, rtol=1e-5 if q != INF else 1e-4)
             windowed_real_norm(x, C, th, q)
     nodes = np.concatenate(evaluated)
-    assert len(evaluated) >= 2  # refinement levels were built
+    if spaces.is_polyhedral(C):  # the line envelope: K point by point, no profile
+        assert len(evaluated) >= 1 and all(ts.size == 1 for ts in evaluated)
+    else:
+        assert len(evaluated) >= 2  # refinement levels were built
     assert np.unique(nodes).size == nodes.size
     # a second pass over the same (couple, x) evaluates no K at all
     before = len(evaluated)

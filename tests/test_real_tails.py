@@ -43,8 +43,8 @@ def contains(ev, value, rel=1e-12):
 
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda pair: "%g-%g" % pair)
 def test_k_is_a_corner_line_outside_the_corner_window(pair):
-    # t up to e^8 beyond the corners: further out the closed forms of the
-    # pairs with an l^inf side lose the corner line to round-off (pinned below)
+    # t up to e^20 beyond the corners, where t amplifies any remainder that a
+    # covered coordinate keeps in the closed forms with an l^inf side
     p0, p1 = pair
     rng = np.random.default_rng(PAIRS.index(pair))
     for case in range(12):
@@ -53,23 +53,44 @@ def test_k_is_a_corner_line_outside_the_corner_window(pair):
         n0, n1 = C.space0.norm(x), C.space1.norm(x)
         t0, t1 = functors._corners(np.abs(x), C)
         assert 0 < t0 <= t1 * (1 + 1e-12)
-        left = np.append(t0 * np.exp(-rng.uniform(0, 8, 4)), t0)
-        right = np.append(t1 * np.exp(rng.uniform(0, 8, 4)), t1)
+        left = np.append(t0 * np.exp(-rng.uniform(0, 20, 4)), t0)
+        right = np.append(t1 * np.exp(rng.uniform(0, 20, 4)), t1)
         for t in left:
             assert contains(k_functional(t, x, C), t * n1), (case, t)
         for t in right:
             assert contains(k_functional(t, x, C), n0), (case, t)
 
 
-@pytest.mark.xfail(strict=True, reason="closed-form K keeps an ulp remainder that t amplifies")
 def test_closed_form_k_far_right_of_the_corner_window():
-    # (inf, inf): the candidate b = w0 m leaves m - b / w0 one ulp above 0,
-    # so K(t) carries t w1 ulp and its lower end exceeds N0 = 2.162 by
-    # 3.6e-11 at t = 1e6; (1, inf) and (inf, 1) do the same far out
+    # (inf, inf): the candidate b = w0 m used to leave m - b / w0 one ulp
+    # above 0, so K(t) carried t w1 ulp and its lower end exceeded N0 = 2.162
+    # by 3.6e-11 at t = 1e6; covered coordinates now leave exactly 0
     C = couple_of(INF, [2.2 + 0.1], INF, [0.7])
     x = [0.94]
     assert functors._corners(np.abs(x), C)[1] < 1e6
     assert contains(k_functional(1e6, x, C), C.space0.norm(x))
+
+
+def test_k_inside_the_corner_window_leaves_covered_coordinates_at_zero():
+    # (inf, 1): the (1, inf) closed form of the swapped couple left covered
+    # coordinates an ulp remainder that t = 1e18 amplified: K read 4.2969e10
+    # (value = upper) against its own splitter's 2.9112e10, and the q = 1
+    # norm's lower end 5.46996e11 lay 1.9% above the 50-digit 5.36688e11
+    C = couple_of(
+        INF, [2.8901987746092079e10, 2.4145151669891724e10, 3.8024651316224725e05, 1.5881739910260120e-06],
+        1, [1.2481143981882456e08, 1.8220578608674959e-09, 1.3483322392066400e01, 1.2497502907869662e11],
+    )
+    x = np.array([
+        0.5225579141594279 - 0.6631020133537234j, 0.43257747387011963 + 3.5702865823641314j,
+        0.00944122384513873 - 0.15955994001558402j, 0.0,
+    ])
+    t0, t1 = functors._corners(np.abs(x), C)
+    assert t0 < 1e18 < t1
+    ev = k_functional(1e18, np.abs(x), C)
+    splitter_cost = C.space0.norm(ev.splitter[0]) + 1e18 * C.space1.norm(ev.splitter[1])
+    assert ev.value == pytest.approx(2.9112224336584618e10, rel=1e-13)
+    assert ev.upper == pytest.approx(splitter_cost, rel=1e-13)
+    assert real_norm(x, C, 0.05, 1.0).contains(5.3668758899017206e11)
 
 
 def l1_theta_one(x, w0, w1, theta):
@@ -122,14 +143,15 @@ def l1_windowed(x, w0, w1, theta, a, b):
     ids=["holds-corners", "inside-corners", "left-of-corners", "right-of-corners"],
 )
 def test_windowed_norm_holds_the_closed_form_and_evaluates_only_the_corner_window(monkeypatch, window, shift):
+    # l^1 couples take the line envelope: K is evaluated by k_functional
     evaluated = []
-    inner = spaces.k_profile
+    inner = spaces.k_functional
 
-    def counting(x, couple, ts):
-        evaluated.append(np.array(ts, dtype=float))
-        return inner(x, couple, ts)
+    def counting(t, x, couple, tol=1e-8):
+        evaluated.append(t)
+        return inner(t, x, couple, tol)
 
-    monkeypatch.setattr(spaces, "k_profile", counting)
+    monkeypatch.setattr(spaces, "k_functional", counting)
     cfg = QuadratureConfig(*window, points_per_decade=8)
     r = (window[1] / window[0]) ** (1 / cfg.intervals)
     for C, x in l1_cases(5, 20, shift):
@@ -138,7 +160,7 @@ def test_windowed_norm_holds_the_closed_form_and_evaluates_only_the_corner_windo
             b = windowed_real_norm(x, C, theta, 1.0, cfg)
             assert b.contains(l1_windowed(x, w0, w1, theta, *window), slack=1e-12)
         t0, t1 = functors._corners(np.abs(x), C)
-        nodes = np.concatenate(evaluated)
+        nodes = np.array(evaluated)
         assert nodes.min() >= t0 / r * (1 - 1e-6) and nodes.max() <= t1 * r * (1 + 1e-6)
         evaluated.clear()
 
