@@ -3,16 +3,18 @@
 Two families are realised:
 
 * the real (theta, q) norm  ( int_0^inf (t^-theta K(t,x))^q dt/t )^(1/q)
-  (sup for q = inf), computed as a certified bracket.  Over couples with
-  both exponents in {1, inf} and q in {1, 2, inf} it is exact up to
-  round-off: K is the lower envelope of a few lines there
-  (:class:`~interpol_lab.spaces.KEnvelope`), and every piece integrates in
-  closed form.  Otherwise, outside the corner window [t0, t1] of x, K(t, x)
-  is exactly t ||x||_1 or ||x||_0, so the tails there are closed forms;
-  inside, the splitting functional is evaluated on the nodes of a log grid
-  that cover the window (the quadrature config sets the grid's spacing and
-  phase), and enclosed on every cell by the monotone envelopes implied by
-  "K nondecreasing, K(t)/t nonincreasing";
+  (sup for q = inf), computed as a certified bracket.  For q in {1, 2, inf}
+  it reduces K's envelope (:class:`~interpol_lab.envelope.KEnvelope`):
+  supporting lines above K and chords through certified lower ends below
+  it, every piece integrated in closed form.  Over couples with both
+  exponents in {1, inf} the envelope is exact up to round-off; over the
+  others its levels halve the sandwich gap.  For fractional q, outside the
+  corner window [t0, t1] of x, K(t, x) is exactly t ||x||_1 or ||x||_0, so
+  the tails there are closed forms; inside, the splitting functional is
+  evaluated on the nodes of a log grid that cover the window (the
+  quadrature config sets the grid's spacing and phase), and enclosed on
+  every cell by the monotone envelopes implied by "K nondecreasing, K(t)/t
+  nonincreasing";
 
 * the Calderon construction on weighted lattices, which is exactly the
   weighted space with  1/p = (1-theta)/p0 + theta/p1  and coordinatewise
@@ -35,20 +37,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .brackets import NormBracket, exact
+from .envelope import KEnvelope, _EnvelopeLevel
 from .report import CheckReport
 from .errors import ArgumentError, PrecisionError
 from .spaces import (
     _PROFILE_LOCK,
     INF,
     BanachCouple,
-    KEnvelope,
     KProfile,
     WeightedSpace,
     as_vector,
     dual_exponent,
     enforce_monotone,
     finite_vector,
-    is_polyhedral,
     k_functional,
     magnitude_pnorm,
     unit_binade,
@@ -156,47 +157,6 @@ def trivial_couple_constant(theta: float, q: float) -> float:
     return (1.0 / ((1.0 - theta) * q) + 1.0 / (theta * q)) ** (1.0 / q)
 
 
-_CHORD_ULPS = 16 * np.finfo(float).eps
-
-
-def _tangent_lines(ts, Klo, Khi):
-    """Two upper tangent lines per cell from concavity of t -> K(t).
-
-    The left line anchors at (t_k, Khi_k) with a slope at least the right
-    derivative there (estimated from the previous chord), hence lies above K
-    to the right of t_k; the right line anchors at (t_{k+1}, Khi_{k+1}) with
-    a slope at most the left derivative there (next chord), hence lies above
-    K to the left.  Their pointwise minimum resolves kinks to O(h^2).  The
-    chord slopes are rounded outward by the round-off of their K values
-    (``_CHORD_ULPS``), which a narrow cell amplifies by 1/(t_{k+1} - t_k).
-    """
-    n = ts.size
-    dl = np.diff(ts)
-    slack = _CHORD_ULPS * (Khi[1:] + Khi[:-1]) / dl
-    s_left = Khi / ts
-    chord_prev = np.empty(n)
-    chord_prev[0] = s_left[0]
-    chord_prev[1:] = (Khi[1:] - Klo[:-1]) / dl + slack
-    bl = np.maximum(np.minimum(s_left, chord_prev), 0.0)[:-1]
-    al = np.maximum(Khi[:-1] - bl * ts[:-1], 0.0)
-
-    chord_next = np.zeros(n)
-    chord_next[:-1] = np.maximum((Klo[1:] - Khi[:-1]) / dl - slack, 0.0)
-    br = np.empty(n - 1)
-    br[:-1] = chord_next[1:-1]
-    br[-1] = 0.0
-    ar = np.maximum(Khi[1:] - br * ts[1:], 0.0)
-    return al, bl, ar, br
-
-
-def _tangent_crossings(ts, al, bl, ar, br):
-    tl, tr = ts[:-1], ts[1:]
-    den = bl - br
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx = np.where(den > 0, (ar - al) / np.where(den > 0, den, 1.0), tr)
-    return np.clip(tx, tl, tr)
-
-
 def _chords(ts, Klo):
     """Chord coefficients (a, b) with K(t) >= a + b t on each cell (concavity)."""
     tl, tr = ts[:-1], ts[1:]
@@ -224,56 +184,29 @@ class _Cells:
 
     On every cell the monotone envelopes of "K nondecreasing, K(t)/t
     nonincreasing" bound K; the upper one, min(Khi_(k+1), Khi_k t / t_k),
-    kinks at t_up and the lower one at t_lo.  The two-sided concave tangents
-    (crossing at tx) cut the upper end to O(h^2), and the chords lift the
-    lower end.  All of it depends on K alone, so it is built once per
-    (profile, level, grid kind) and every (theta, q) reduction reuses it.
-    ``sup`` cells (q = inf) keep what the sup reads: t_up and tx with the
-    envelope and the tangent minimum there.  The others keep the logs of
-    every cell end, because the integrals are taken in log space.
+    kinks at t_up and the lower one at t_lo.  All of it depends on K alone,
+    so it is built once per (profile, level) and every (theta, q) reduction
+    reuses it, with the logs of every cell end, because the integrals are
+    taken in log space.
     """
 
-    def __init__(self, ts, Klo, Khi, sup: bool):
+    def __init__(self, ts, Klo, Khi):
         self.ts, self.Klo, self.Khi = ts, Klo, Khi
         tl, tr = ts[:-1], ts[1:]
         kl_hi, kr_hi = Khi[:-1], Khi[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_up = np.where(kl_hi > 0, tl * kr_hi / np.where(kl_hi > 0, kl_hi, 1.0), tl)
-        t_up = np.clip(t_up, tl, tr)
-        al, bl, ar, br = _tangent_lines(ts, Klo, Khi)
-        tx = _tangent_crossings(ts, al, bl, ar, br)
-        if sup:
-            self.t_up, self.tx = t_up, tx
-            self.env_up = np.minimum(kr_hi, np.where(tl > 0, kl_hi * t_up / tl, kr_hi))
-            self.tan_x = np.minimum(al + bl * tx, ar + br * tx)
-            return
         kl_lo, kr_lo = Klo[:-1], Klo[1:]
         with np.errstate(divide="ignore", invalid="ignore"):
+            t_up = np.where(kl_hi > 0, tl * kr_hi / np.where(kl_hi > 0, kl_hi, 1.0), tl)
             t_lo = np.where(kr_lo > 0, tr * kl_lo / np.where(kr_lo > 0, kr_lo, 1.0), tr)
-        t_lo = np.clip(t_lo, tl, tr)
-        # one log of t_up serves both envelope pieces: t_up is already
-        # clipped to [t_l, t_r], so max(t_up, t_l) is t_up
-        self.log_ts, self.log_up, self.log_lo, self.log_tx = (np.log(a) for a in (ts, t_up, t_lo, tx))
-        self.tangents = al, bl, ar, br
-        self.chords = _chords(ts, Klo)
-
-
-def _sup_cells(c: _Cells, theta):
-    """Per cell, (lo, up) of the sup of t^-theta K over the cell."""
-    at_node = c.ts ** (-theta)
-    at_left = c.Khi[:-1] * at_node[:-1]
-    cell_sup = np.maximum(c.env_up * c.t_up ** (-theta), at_left)
-    # t^-theta (A + B t) is largest at the cell ends or at the line
-    # crossing, so three evaluations bound the cell sup
-    at_cross = c.tan_x * c.tx ** (-theta)
-    tan_sup = np.maximum.reduce([at_left, c.Khi[1:] * at_node[1:], at_cross])
-    lo = c.Klo * at_node
-    return np.maximum(lo[:-1], lo[1:]), np.minimum(cell_sup, tan_sup)
+        # one log of t_up serves both envelope pieces: t_up is clipped to
+        # [t_l, t_r], so max(t_up, t_l) is t_up
+        self.log_ts, self.log_up, self.log_lo = (
+            np.log(a) for a in (ts, np.clip(t_up, tl, tr), np.clip(t_lo, tl, tr))
+        )
 
 
 def _integral_cells(c: _Cells, theta, q):
-    """Per cell, (lo, up) of the integral of (t^-theta K)^q dt/t over the
-    cell; the tangents and chords tighten it for q in {1, 2}."""
+    """Per cell, (lo, up) of the integral of (t^-theta K)^q dt/t over the cell."""
     tl, tr = c.ts[:-1], c.ts[1:]
     kl_lo, kr_lo = c.Klo[:-1], c.Klo[1:]
     kl_hi, kr_hi = c.Khi[:-1], c.Khi[1:]
@@ -286,14 +219,6 @@ def _integral_cells(c: _Cells, theta, q):
     lo = kl_lo**q * _log_power_integral(ltl, c.log_lo, a0) + np.where(
         kr_lo > 0, (kr_lo / tr) ** q * _log_power_integral(c.log_lo, ltr, a1), 0.0
     )
-    if q in (1.0, 2.0):
-        al, bl, ar, br = c.tangents
-        lo = np.maximum(lo, _affine_power_integral(ltl, ltr, *c.chords, theta, q))
-        up = np.minimum(
-            up,
-            _affine_power_integral(ltl, c.log_tx, al, bl, theta, q)
-            + _affine_power_integral(c.log_tx, ltr, ar, br, theta, q),
-        )
     return lo, np.maximum(up, lo)
 
 
@@ -327,11 +252,9 @@ def _corner_tails(theta, q, n0, n1, ta, tb, a=0.0, b=INF):
 
 
 def _real_bracket(cells: _Cells, theta, q, tails, part=slice(None)):
-    """(lo, up) of the real (theta, q) norm from the cells ``part`` of one
-    profile level joined with the exact ``tails`` of :func:`_corner_tails`."""
-    if q == INF:
-        lo, up = (float(np.max(a[part], initial=0.0)) for a in _sup_cells(cells, theta))
-        return max(lo, *tails), max(up, *tails)
+    """(lo, up) of the real (theta, q) norm, q finite, from the cells ``part``
+    of one profile level joined with the exact ``tails`` of
+    :func:`_corner_tails`."""
     lo, up = (float(np.sum(a[part])) for a in _integral_cells(cells, theta, q))
     return (lo + sum(tails)) ** (1.0 / q), (up + sum(tails)) ** (1.0 / q)
 
@@ -349,45 +272,24 @@ def _padded(lo: float, up: float) -> NormBracket:
     return _finite(lo * (1.0 - _ROUNDOFF_PAD), up * (1.0 + _ROUNDOFF_PAD))
 
 
-_NODE_GAP = 1e-9
-
-
-def _peak_abscissae(ts, Klo, Khi):
-    """The tangent crossings, less those within ``_NODE_GAP`` (relative) of a
-    node: such a crossing is round-off where K is linear, and the sliver cell
-    it would add has no chord slope that the rounded K values resolve."""
-    tx = _tangent_crossings(ts, *_tangent_lines(ts, Klo, Khi))
-    near = (tx <= ts[:-1] * (1.0 + _NODE_GAP)) | (tx >= ts[1:] * (1.0 - _NODE_GAP))
-    return tx[~near]
-
-
 class _CellSlot:
-    """The cells of the most recently reduced profile: every level, both grid
-    kinds.  Reducing another profile drops them, so one profile's cells are
-    held at a time however many profiles the couples keep.
+    """The cells of the most recently reduced profile, every level.  Reducing
+    another profile drops them, so one profile's cells are held at a time
+    however many profiles the couples keep.
     """
 
     def __init__(self):
         self._owner = None     # weak reference to the profile
         self._cells = {}
 
-    def get(self, profile: KProfile, level: int, sup: bool) -> _Cells:
-        """The cells of a profile level; for q = inf (``sup``) the grid is
-        the level's with the tangent-crossing abscissae inserted.
-
-        The sup of t^-theta K is often attained between nodes (near kinks of
-        K), so the inserted nodes let the grid lower bound reach the peak to
-        O(h^2).  They depend on K alone, so the profile keeps the augmented
-        grid for every theta.
-        """
+    def get(self, profile: KProfile, level: int) -> _Cells:
+        """The cells of a profile level."""
         with _PROFILE_LOCK:
             if self._owner is None or self._owner() is not profile:
                 self._owner, self._cells = weakref.ref(profile), {}
-            key = (level, sup)
-            cells = self._cells.get(key)
+            cells = self._cells.get(level)
             if cells is None:
-                grid = profile.augmented(level, _peak_abscissae) if sup else profile.brackets(level)
-                cells = self._cells[key] = _Cells(*grid, sup)
+                cells = self._cells[level] = _Cells(*profile.brackets(level))
             return cells
 
 
@@ -498,21 +400,21 @@ def _scaled(bracket: NormBracket, e: int) -> NormBracket:
 
 
 # ---------------------------------------------------------------------------
-# exact real norms over polyhedral couples, from K's line envelope
+# real norms for q in {1, 2, inf}, from K's line envelope
 
 _ENVELOPE_QS = (1.0, 2.0, INF)
 
 
 class _EnvelopeCells:
-    """The theta-independent geometry of a K envelope's two bounds within a
-    window (t_min, t_max), which every (theta, q) reduction reuses.
+    """The theta-independent geometry of one K envelope level's two bounds
+    within a window (t_min, t_max), which every (theta, q) reduction reuses.
 
     Each bound is a piecewise-affine f(t) = a_j + b_j t on [breaks_j,
     breaks_(j + 1)], breaks from 0 to inf, with f = b_0 t on the first piece
     and a_(-1) on the last (the exact tails of :func:`_corner_tails`).  The
-    upper one is the envelope's supporting lines.  The lower one rests on K
+    upper one is the level's supporting lines.  The lower one rests on K
     concave and K, K/t monotone: chords through the certified lower ends of
-    K at the evaluated abscissae v, t K_lo(v_0) / v_0 left of the first and
+    K at the level's abscissae v, t K_lo(v_0) / v_0 left of the first and
     K_lo(v_last) right of the last.  t^-theta (a + b t) has no interior
     maximum on a piece, so for q = inf the upper end is read at the ends of
     the pieces, and the lower end at the abscissae and the window ends, from
@@ -520,7 +422,7 @@ class _EnvelopeCells:
     would amplify.
     """
 
-    def __init__(self, env: KEnvelope, window):
+    def __init__(self, env: _EnvelopeLevel, window):
         self.window = t_min, t_max = window
         ts, lo = env.ts, env.lo
         ca, cb = _chords(ts, lo)
@@ -555,15 +457,10 @@ class _EnvelopeCells:
         return lo ** (1.0 / q), up ** (1.0 / q)
 
 
-def _envelope_norm(x, couple: BanachCouple, theta, q, window=(0.0, INF)) -> NormBracket:
-    """The bracket of the real (theta, q) norm of x over ``window`` from the
-    memoised K envelope of its unit-binade |x| (:class:`KEnvelope`)."""
-    unit = _unit(x, couple)
-    if unit is None:
-        return NormBracket(0.0, 0.0)
-    m, e = unit
-    cells = KEnvelope.of(couple, m).reduction(window, _EnvelopeCells)
-    return _scaled(_padded(*cells.bracket(theta, q)), e)
+def _envelope_bracket(level: _EnvelopeLevel, theta, q, window=(0.0, INF)) -> NormBracket:
+    """The padded bracket of the real (theta, q) norm over ``window`` from
+    one level of a K envelope."""
+    return _padded(*level.reduction(window, _EnvelopeCells).bracket(theta, q))
 
 
 def real_norm(
@@ -577,17 +474,22 @@ def real_norm(
 ) -> NormBracket:
     """Certified bracket for the real (theta, q) norm of x.
 
-    Over a couple with both exponents in {1, inf} and q in {1, 2, inf} the
-    bracket is a reduction of K's line envelope (:class:`_EnvelopeCells`),
-    exact up to a 1e-12 round-off pad on each end: ``cfg`` and
-    ``max_refinements`` do not change it, and an ``rtol`` below its width
-    raises :class:`PrecisionError` with it attached.  Otherwise:
+    For q in {1, 2, inf} the bracket is a reduction of one level of K's
+    envelope of |x| (:class:`~interpol_lab.envelope.KEnvelope`, reduced by
+    :class:`_EnvelopeCells`): every piece of its supporting lines and of
+    the chords below them integrates in closed form, with a 1e-12
+    round-off pad on each end, and ``cfg`` does not change it.  Over
+    polyhedral couples (both exponents in {1, inf}), and where K is
+    min(||x||_0, t ||x||_1), level 0 is exact.  Otherwise level k bounds
+    K within a relative gap of 1e-5 4^-k; with ``rtol`` set, the first level
+    whose bracket meets it is returned, and exhausting ``max_refinements``
+    levels raises :class:`PrecisionError` with the best bracket attached.
 
-    K(t, x) is t ||x||_1 left of the corner window [t0, t1] of |x| and
-    ||x||_0 right of it (see :class:`_CornerWindow`), so both tails are
-    exact: ||x||_1^q t_a^(q(1-theta)) / (q(1-theta)) and
-    ||x||_0^q t_b^(-q theta) / (q theta), or ||x||_1 t_a^(1-theta) and
-    ||x||_0 t_b^(-theta) for q = inf.  Only [t_a, t_b], the corner window
+    Fractional q runs the profile quadrature: K(t, x) is t ||x||_1 left of
+    the corner window [t0, t1] of |x| and ||x||_0 right of it (see
+    :class:`_CornerWindow`), so both tails are exact:
+    ||x||_1^q t_a^(q(1-theta)) / (q(1-theta)) and
+    ||x||_0^q t_b^(-q theta) / (q theta).  Only [t_a, t_b], the corner window
     widened to nodes of ``cfg``'s log lattice, is profiled: ``cfg`` sets the
     grid's spacing and phase, not where it ends.  The bracket is a reduction
     of the couple's K profile of |x| on that window (see
@@ -595,29 +497,38 @@ def real_norm(
     later calls on the same (couple, x) evaluate no K at levels already
     built.  With ``rtol`` set, the grid is refined level by level, each
     level inserting the geometric midpoints of the previous one (points per
-    decade doubled), until the relative bracket width drops below it;
-    exhausting ``max_refinements`` levels raises :class:`PrecisionError`
-    with the best bracket attached.
+    decade doubled), until the relative bracket width drops below it or
+    ``max_refinements`` levels are exhausted, as above.
     """
     FunctorSpec("real", theta, q)  # parameter validation
-    if q in _ENVELOPE_QS and is_polyhedral(couple):
-        bracket = _envelope_norm(x, couple, theta, q)
+    if q in _ENVELOPE_QS:
+        unit = _unit(x, couple)
+        if unit is None:
+            return NormBracket(0.0, 0.0)
+        m, e = unit
+        env = KEnvelope.of(couple, m)
+        depth = 0 if env.exact else max_refinements
+
+        def at(level):
+            return _envelope_bracket(env.level(level), theta, q)
+
     else:
         unit = _unit_profile(x, couple, cfg)
         if unit is None:
             return NormBracket(0.0, 0.0)
         profile, _, e, win = unit
+        depth = max_refinements
 
         def at(level):
-            cells = _CELLS.get(profile, level, q == INF)
+            cells = _CELLS.get(profile, level)
             tails = _corner_tails(theta, q, win.n0, win.n1, cells.ts[0], cells.ts[-1])
             return _padded(*_real_bracket(cells, theta, q, tails))
 
-        level, bracket = 0, at(0)
-        while rtol is not None and bracket.relative_width > rtol and level < max_refinements:
-            level += 1
-            bracket = at(level)
-        bracket = _scaled(bracket, e)
+    level, bracket = 0, at(0)
+    while rtol is not None and bracket.relative_width > rtol and level < depth:
+        level += 1
+        bracket = at(level)
+    bracket = _scaled(bracket, e)
     if rtol is not None and bracket.relative_width > rtol:
         raise PrecisionError(
             f"real norm bracket width {bracket.relative_width:.3e} above {rtol:.3e}",
@@ -631,27 +542,29 @@ def windowed_real_norm(
 ) -> NormBracket:
     """Bracket of the norm restricted to the quadrature window [t_min, t_max].
 
-    Over a couple with both exponents in {1, inf} and q in {1, 2, inf} it
-    clips the pieces of K's line envelope, which :func:`real_norm` reduces,
-    to [t_min, t_max]; the envelope evaluates K only inside the corner
-    window.  Otherwise it reads level 0 of the profile that
-    :func:`real_norm` reduces: the cells that lie in [t_min, t_max], plus
-    the exact pieces of the two tails that lie in it, so no K outside the
-    corner window is evaluated.
+    For q in {1, 2, inf} it clips the pieces of level 0 of K's envelope,
+    which :func:`real_norm` reduces, to [t_min, t_max].  Otherwise it reads
+    level 0 of the profile that :func:`real_norm` reduces: the cells that
+    lie in [t_min, t_max], plus the exact pieces of the two tails that lie
+    in it, so no K outside the corner window is evaluated.
     """
     cfg = cfg or DEFAULT_QUADRATURE
-    if q in _ENVELOPE_QS and is_polyhedral(couple):
-        return _envelope_norm(x, couple, theta, q, (cfg.t_min, cfg.t_max))
+    if q in _ENVELOPE_QS:
+        unit = _unit(x, couple)
+        if unit is None:
+            return NormBracket(0.0, 0.0)
+        m, e = unit
+        level = KEnvelope.of(couple, m).level(0)
+        return _scaled(_envelope_bracket(level, theta, q, (cfg.t_min, cfg.t_max)), e)
     unit = _unit_profile(x, couple, cfg)
     if unit is None:
         return NormBracket(0.0, 0.0)
     profile, _, e, win = unit
-    cells = _CELLS.get(profile, 0, q == INF)
-    # the profile's level-0 nodes i..j are the lattice nodes 0..intervals of cfg
+    cells = _CELLS.get(profile, 0)
+    # the profile's level-0 nodes i..j are the lattice nodes 0..intervals of
+    # cfg, and the cells between them are cells i..j-1 (none if j <= i)
     i, j = max(-win.first, 0), min(cfg.intervals - win.first, win.intervals)
-    part = slice(0, 0)
-    if i < j:
-        part = slice(*np.searchsorted(cells.ts, profile.brackets(0)[0][[i, j]]))
+    part = slice(i, max(i, j))
     tails = _corner_tails(theta, q, win.n0, win.n1, cells.ts[0], cells.ts[-1], cfg.t_min, cfg.t_max)
     return _scaled(_padded(*_real_bracket(cells, theta, q, tails, part)), e)
 
@@ -821,9 +734,6 @@ def delta_condition_check(
                     witness = witness or {"sample": idx, "theta": float(th)}
         else:
             q = family.q
-            # sup-norm brackets converge more slowly; the checked margins are
-            # far wider than 1e-4 so this stays decisive
-            rtol = max(rtol, 1e-4) if q == INF else rtol
             b0 = real_norm(x, couple, theta0, q, cfg, rtol=rtol)
             b1 = real_norm(x, couple, theta1, q, cfg, rtol=rtol)
             w0 = windowed_real_norm(x, couple, theta0, q, cfg)
@@ -917,7 +827,9 @@ def _iterated_real_estimate(x, couple, theta0, theta1, lam, q, cfg):
     Inner norms are normalised brackets' midpoints; the outer splitting
     functional is approximated from a finite family of candidate splits
     (constant shrinkages plus splitters harvested from the underlying
-    couple), giving a piecewise-linear upper profile in t.
+    couple): the minimum of their lines, a piecewise-linear upper profile in
+    t.  For q in {1, 2, inf} that minimum is reduced exactly as a K envelope
+    level; fractional q samples it on a log grid.
     """
     def inner(vec, th):
         b = real_norm(vec, couple, th, q, cfg, rtol=1e-6)
@@ -937,6 +849,9 @@ def _iterated_real_estimate(x, couple, theta0, theta1, lam, q, cfg):
         b = inner((1.0 - l) * x, theta1)
         pairs.append((a, b))
     pairs = np.array(pairs)
+    if q in _ENVELOPE_QS:
+        outer = _EnvelopeCells(_EnvelopeLevel.of_lines(pairs[:, 0], pairs[:, 1]), (0.0, INF))
+        return outer.bracket(lam, q)[1] / trivial_couple_constant(lam, q)
 
     outer_cfg = QuadratureConfig(1e-6, 1e6, 16)
     ts = outer_cfg.grid()
@@ -945,5 +860,5 @@ def _iterated_real_estimate(x, couple, theta0, theta1, lam, q, cfg):
     # beyond the grid the profile saturates at its edge values: K(t_max) to
     # the right, the slope K(t_min) / t_min to the left
     tails = _corner_tails(lam, q, Khi[-1], Khi[0] / ts[0], ts[0], ts[-1])
-    _, up = _real_bracket(_Cells(ts, Klo, Khi, q == INF), lam, q, tails)
+    _, up = _real_bracket(_Cells(ts, Klo, Khi), lam, q, tails)
     return up / trivial_couple_constant(lam, q)

@@ -16,9 +16,8 @@ safeguarded Newton solve for (2, 2) and (1, 2), and for every other pair
 one scalar root per t with a duality-based lower bound, over the sup
 budget for (p, inf) and along the curve of optimal splits otherwise.
 ``k_profile`` is that kernel over a grid; ``k_functional`` is its
-one-point case and also returns the splitter.  For pairs with both
-exponents in {1, inf}, ``KEnvelope`` finds K for every t at once as the
-lower envelope of a few supporting lines.
+one-point case and also returns the splitter.  :mod:`.envelope` bounds K
+for every t at once between supporting lines.
 
 Two structural facts keep everything real and low-dimensional:
 
@@ -128,8 +127,8 @@ class BanachCouple:
 
     A couple is immutable (frozen spaces, read-only weights), so it keeps a
     bounded memo of the K profiles and envelopes computed over it (see
-    :class:`KProfile` and :class:`KEnvelope`); the memo is freed with the
-    couple.
+    :class:`KProfile` and :class:`~interpol_lab.envelope.KEnvelope`); the
+    memo is freed with the couple.
     """
 
     space0: WeightedSpace
@@ -345,12 +344,30 @@ def _k_l1_l1(m, w0, w1, ts):
 # nonnegative terms, so it keeps its relative accuracy there.
 
 
+# the objective of a split as k_functional forms it, from shares of |x|,
+# is within a few roundings of the one recomputed from its complex parts
+_OBJECTIVE_ULPS = 32 * np.finfo(float).eps
+
+
 def _k_linf_linf(m, w0, w1, ts):
     z = w0 * m
     b_c, q_c = _linf_candidates(m, w0, w1)
     b = b_c[np.argmin(b_c[None, :] + ts[:, None] * q_c[None, :], axis=1)][:, None]
     vals = _sup_sup_dual(z, w0 / w1, ts)
-    return vals, vals, np.minimum(1.0, _shares(b, z)), _shares(_remainders(m, b, w0, z), m)
+    lam, lam1 = np.minimum(1.0, _shares(b, z)), _shares(_remainders(m, b, w0, z), m)
+    # the kink costs of the split cancel at extreme weights, so its own
+    # objective, rounded outward, is the upper end
+    x0, x1 = _split_parts(m, lam, lam1)
+    upper = (np.max(w0 * x0, axis=1) + ts * np.max(w1 * x1, axis=1)) * (1.0 + _OBJECTIVE_ULPS)
+    return vals, np.maximum(upper, vals), lam, lam1
+
+
+def _split_parts(m, lam, lam1):
+    """The parts (x0, x1) of m (rows of shares lam, lam1) that k_functional
+    returns: per coordinate the smaller share times m, the rest m minus it,
+    so x0 + x1 = m up to one rounding of the larger part."""
+    small = lam <= lam1
+    return np.where(small, lam * m, m - lam1 * m), np.where(small, m - lam * m, lam1 * m)
 
 
 def _sup_sup_dual(v, rho, ts):
@@ -730,10 +747,11 @@ def k_functional(t: float, x, couple: BanachCouple, tol: float = 1e-8) -> KEvalu
     """Certified evaluation of K(t, x) over the couple, with its splitter.
 
     The one-point case of the K kernel that :func:`k_profile` runs over a
-    grid.  Gap 0 on the closed forms, round-off on the Newton solves; any
-    other pair runs a scalar root and must certify a gap below
-    ``tol`` * max(1, upper) at |x|'s unit binade (else :class:`PrecisionError`
-    with the bracket).  The splitter (x0, x1) takes, coordinate by
+    grid.  Gap 0 on the (1, 1) and (1, inf) closed forms, the outward-rounded
+    objective of its split over the dual on (inf, inf), round-off on the
+    Newton solves; any other pair runs a scalar root and must certify a gap
+    below ``tol`` * max(1, upper) at |x|'s unit binade (else
+    :class:`PrecisionError` with the bracket).  The splitter (x0, x1) takes, coordinate by
     coordinate, the smaller part as its share of x and the larger as the
     rest, x - part, so both parts keep their relative accuracy.
     """
@@ -743,10 +761,7 @@ def k_functional(t: float, x, couple: BanachCouple, tol: float = 1e-8) -> KEvalu
         raise ArgumentError("tol must be positive")
     x = finite_vector(x, couple.dim)
     lo, hi, lam, lam1 = _k_kernel(np.abs(x), couple, np.array([t], dtype=float), tol)
-    small = lam[0] <= lam1[0]
-    x0 = np.where(small, lam[0] * x, x - lam1[0] * x)
-    x1 = np.where(small, x - lam[0] * x, lam1[0] * x)
-    return KEvaluation(t, float(lo[0]), (x0, x1), float(hi[0] - lo[0]))
+    return KEvaluation(t, float(lo[0]), _split_parts(x, lam[0], lam1[0]), float(hi[0] - lo[0]))
 
 
 def k_profile(x, couple: BanachCouple, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -788,9 +803,9 @@ def enforce_monotone(Klo: np.ndarray, Khi: np.ndarray, ts: Optional[np.ndarray] 
 
 PROFILE_MEMO_SIZE = 8
 # Guards the mutable profile state that calls from several threads would
-# share: each couple's profile memo, each profile's refined store and
-# off-grid nodes, each envelope's reductions, and the two slots of
-# ``functors`` (the per-level cells of the profile reduced last, and the
+# share: each couple's profile memo, each profile's refined store, each
+# envelope's samples and levels, each level's reductions, and the two slots
+# of ``functors`` (the per-level cells of the profile reduced last, and the
 # corner window asked for last).
 # Reentrant, because building cells refines the profile under it.
 _PROFILE_LOCK = threading.RLock()
@@ -845,8 +860,6 @@ class KProfile:
         self._level = 0
         self._ts = np.exp(np.linspace(*self._span, self._intervals + 1))
         self._lo, self._hi = _frozen(*k_profile(self._m, self._couple, self._ts))
-        self._augmented = {}
-        self._off_grid = _frozen(np.empty(0), np.empty(0), np.empty(0))
 
     @classmethod
     def of(cls, couple: BanachCouple, x, t_min: float, t_max: float, intervals: int) -> "KProfile":
@@ -883,128 +896,12 @@ class KProfile:
         ts, lo, hi = self._raw(level)
         return (ts,) + enforce_monotone(lo, hi, ts)
 
-    def augmented(self, level: int, abscissae: Callable):
-        """Monotone-enforced (ts, Klo, Khi) on the level grid joined with the
-        nodes ``abscissae(ts, Klo, Khi)`` picks from that level's brackets.
-
-        The extra nodes depend on K alone, so they are memoised per (level,
-        abscissae).  Their raw brackets join one sorted store of off-grid
-        nodes shared by all levels, so a node that several levels pick is
-        evaluated once.
-        """
-        key = (level, abscissae)
-        with _PROFILE_LOCK:
-            ts, lo, hi = self._raw(level)
-            if key not in self._augmented:
-                extra = np.setdiff1d(abscissae(ts, *enforce_monotone(lo, hi, ts)), ts)
-                new = np.setdiff1d(extra, self._off_grid[0])
-                if new.size:
-                    at = np.searchsorted(self._off_grid[0], new)
-                    found = (new,) + k_profile(self._m, self._couple, new)
-                    self._off_grid = _frozen(
-                        *(np.insert(a, at, b) for a, b in zip(self._off_grid, found))
-                    )
-                self._augmented[key] = _frozen(extra)[0]
-            extra = self._augmented[key]
-            pos = np.searchsorted(self._off_grid[0], extra)
-            xlo, xhi = self._off_grid[1][pos], self._off_grid[2][pos]
-        at = np.searchsorted(ts, extra)
-        ts, lo, hi = (np.insert(a, at, b) for a, b in ((ts, extra), (lo, xlo), (hi, xhi)))
-        return (ts,) + enforce_monotone(lo, hi, ts)
-
 
 # ---------------------------------------------------------------------------
-# the polyhedral K envelope: every t at once from a few supporting lines
+# the couples whose K is polyhedral
 
 
 def is_polyhedral(couple: BanachCouple) -> bool:
     """Both exponents in {1, inf}: K is then the lower envelope of finitely
     many lines t -> N0(x0) + t N1(x1), one per split."""
     return couple.space0.p in (1.0, INF) and couple.space1.p in (1.0, INF)
-
-
-# a split's line is rounded up by (d + 2) eps = 2 (d + 2) units of round-off,
-# twice the d + 1 that each norm of a part (one of them a difference) takes
-_LINE_ULPS = np.finfo(float).eps
-# sandwich steps are a few per line of K; this only bounds round-off loops
-_ENVELOPE_MAX_EVALUATIONS = 256
-
-
-class KEnvelope:
-    """Certified piecewise-affine bounds on K(t, m) for every t > 0 over a
-    polyhedral couple (:func:`is_polyhedral`), by the sandwich method (G.
-    Rote, Computing 48, 1992).
-
-    Starting from the corner lines t N1(m) and N0(m), K is evaluated by
-    :func:`k_functional` at the crossing x of two adjacent lines A, B.  The
-    split (x0, x1) found there gives the supporting line N0(x0) + t N1(x1)
-    >= K, rounded outward.  If it does not go below min(A, B) at x, K is A
-    then B on the segment between their touching points (K is concave and
-    touches both lines); otherwise it is inserted and both halves are
-    processed.  A crossing that is not finite or not strictly inside the
-    segment (nearly parallel lines) closes the segment without evaluating.
-
-    ``upper`` = (breaks, a, b) with breaks[0] = 0, breaks[-1] = inf: on
-    [breaks[j], breaks[j + 1]] K(t) <= a_j + b_j t, each piece one of the
-    supporting lines, so the bound is sound whatever round-off placed the
-    breaks; the first piece is t N1(m), the last N0(m).  ``ts`` and ``lo``
-    are the evaluated abscissae in increasing order and the certified lower
-    ends of K there.  Obtain envelopes through :meth:`of`.
-    """
-
-    def __init__(self, couple: BanachCouple, m: np.ndarray):
-        if not is_polyhedral(couple):
-            raise ArgumentError("a K envelope needs both exponents in {1, inf}")
-        couple = BanachCouple(couple.space0, couple.space1)  # memo-free, as in KProfile
-        m = np.array(m, dtype=float)
-        s0, s1 = couple.space0, couple.space1
-        grow = 1.0 + _LINE_ULPS * (m.size + 2)
-        close = 4.0 * (grow - 1.0)
-        evaluated, breaks, a, b = [], [0.0], [], []
-
-        def piece(end, line):
-            breaks.append(end)
-            a.append(line[0])
-            b.append(line[1])
-
-        def sandwich(A, B, tl, tr):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x = (B[0] - A[0]) / (A[1] - B[1])
-            if not (len(evaluated) < _ENVELOPE_MAX_EVALUATIONS and tl < x < tr):
-                split = min(max(x, tl), tr) if x == x else tl
-                piece(split, A)
-                piece(tr, B)
-                return
-            ev = k_functional(x, m, couple)
-            evaluated.append((x, ev.lower))
-            x0, x1 = ev.splitter
-            L = (s0.norm(x0) * grow, s1.norm(x1) * grow)
-            below = L[0] + L[1] * x < min(A[0] + A[1] * x, B[0] + B[1] * x) * (1.0 - close)
-            if below and B[1] < L[1] < A[1]:
-                sandwich(A, L, tl, x)
-                sandwich(L, B, x, tr)
-            else:
-                piece(x, A)
-                piece(tr, B)
-
-        sandwich((0.0, s1.norm(m)), (s0.norm(m), 0.0), 0.0, INF)
-        if not evaluated:
-            raise PrecisionError("the corner lines of K do not cross at a finite t > 0")
-        self.ts, self.lo = _frozen(*np.array(sorted(evaluated)).T.copy())
-        self.upper = _frozen(np.array(breaks), np.array(a), np.array(b))
-        self._reductions = {}
-
-    def reduction(self, key, build: Callable):
-        """``build(self, key)``, memoised per key: what a reduction of the
-        envelope reads that depends on K alone."""
-        with _PROFILE_LOCK:
-            if key not in self._reductions:
-                self._reductions[key] = build(self, key)
-            return self._reductions[key]
-
-    @classmethod
-    def of(cls, couple: BanachCouple, x) -> "KEnvelope":
-        """The envelope of x over the couple, memoised beside the couple's K
-        profiles (:meth:`KProfile.of`) and keyed by the bytes of |x|."""
-        m = np.abs(as_vector(x, couple.dim))
-        return _memoised(couple, (m.tobytes(),), lambda: cls(couple, m))

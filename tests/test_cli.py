@@ -131,7 +131,7 @@ def real_norm_cfg(outdir, t_grid):
                 "space1": {"p": 1, "weights": [9.0, 1.0]},
             }
         },
-        "functor": {"method": "real", "q": 2, "theta": 0.4},
+        "functor": {"method": "real", "q": 1.5, "theta": 0.4},
         "vectors": [[1.0, [0.5, -2.0]]],
         "t_grid": t_grid,
         "output": {"dir": str(outdir)},
@@ -139,6 +139,8 @@ def real_norm_cfg(outdir, t_grid):
 
 
 def test_norm_command_uses_t_grid(tmp_path):
+    # the grid profiles K for fractional q; q in {1, 2, inf} reduces K's
+    # envelope, which no grid changes
     out = tmp_path / "out"
     t_grid = {"t_min": 1.0e-2, "t_max": 1.0e2, "points_per_decade": 4}
     cfg = write_cfg(tmp_path, real_norm_cfg(out, t_grid))
@@ -146,10 +148,12 @@ def test_norm_command_uses_t_grid(tmp_path):
     entry = json.loads((out / "report.json").read_text())["data"]["norms"][0]
     C = BanachCouple(WeightedSpace(2, [1.0, 4.0]), WeightedSpace(1, [9.0, 1.0]))
     x = [1.0, 0.5 - 2.0j]
-    b = real_norm(x, C, 0.4, 2.0, QuadratureConfig(1e-2, 1e2, 4))
+    grid = QuadratureConfig(1e-2, 1e2, 4)
+    b = real_norm(x, C, 0.4, 1.5, grid)
     assert (entry["lower"], entry["upper"]) == (b.lower, b.upper)
-    default = real_norm(x, C, 0.4, 2.0)
+    default = real_norm(x, C, 0.4, 1.5)
     assert (entry["lower"], entry["upper"]) != (default.lower, default.upper)
+    assert real_norm(x, C, 0.4, 2.0, grid) == real_norm(x, C, 0.4, 2.0)
 
 
 def test_norm_command_bad_t_grid_exits_two(tmp_path, capsys):
@@ -570,7 +574,7 @@ _BASE = {
                 "space1": {"p": 2, "weights": [9.0, 1.0]},
             }
         },
-        "functor": {"method": "real", "q": 2, "theta": 0.4},
+        "functor": {"method": "real", "q": 1.5, "theta": 0.4},
         "vectors": [[1.0, [0.5, -2.0]]],
         "t_grid": {"t_min": 0.1, "t_max": 10.0, "points_per_decade": 2},
     },

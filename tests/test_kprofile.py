@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from interpol_lab import spaces
+from interpol_lab import envelope, spaces
 from interpol_lab.errors import PrecisionError
 from interpol_lab.functors import QuadratureConfig, real_norm, windowed_real_norm
 from interpol_lab.spaces import PROFILE_MEMO_SIZE, BanachCouple, KProfile, WeightedSpace
@@ -54,11 +54,12 @@ def test_answers_do_not_depend_on_call_history(pair):
 
 
 def counting_k_profile(monkeypatch):
-    """The abscissae of every K evaluation: each k_profile grid, and each
-    k_functional point (the line envelope of polyhedral couples) as a
-    one-point array."""
+    """Every evaluation of K: each k_profile grid, each k_functional point
+    (the sandwich of polyhedral couples) as a one-point array, and the
+    parameters of each batch of samples of a curve of optimal splits (the
+    envelopes of the other couples)."""
     evaluated = []
-    profile, functional = spaces.k_profile, spaces.k_functional
+    profile, functional, curve = spaces.k_profile, spaces.k_functional, envelope._split_curve
 
     def counting(x, couple, ts):
         evaluated.append(np.array(ts, dtype=float))
@@ -68,8 +69,20 @@ def counting_k_profile(monkeypatch):
         evaluated.append(np.array([t], dtype=float))
         return functional(t, x, couple, tol)
 
+    def counting_curve(couple, m):
+        found = curve(couple, m)
+        if found is None:
+            return None
+
+        def at(sigma):
+            evaluated.append(np.array(sigma, dtype=float))
+            return found[0](sigma)
+
+        return (at,) + found[1:]
+
     monkeypatch.setattr(spaces, "k_profile", counting)
     monkeypatch.setattr(spaces, "k_functional", counting_point)
+    monkeypatch.setattr(envelope, "_split_curve", counting_curve)
     return evaluated
 
 
@@ -113,23 +126,29 @@ def test_each_node_is_evaluated_once(monkeypatch, p0, p1):
     C = random_couple(rng, p0, p1, 4)
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
     thetas = np.linspace(0.15, 0.85, 5)
+    polyhedral = spaces.is_polyhedral(C)
+    # q in {1, 2, inf} reads K's envelope; fractional q a profile, whose
+    # abscissae are t where the envelope's curve samples are parameters
+    runs = [(QS, 1e-5)] if polyhedral else [(QS, 1e-5), ((1.5,), 1e-3)]
     first = {}
-    for q in QS:
-        for th in thetas:
-            first[th, q] = real_norm(x, C, th, q, rtol=1e-5 if q != INF else 1e-4)
-            windowed_real_norm(x, C, th, q)
-    nodes = np.concatenate(evaluated)
-    if spaces.is_polyhedral(C):  # the line envelope: K point by point, no profile
-        assert len(evaluated) >= 1 and all(ts.size == 1 for ts in evaluated)
-    else:
-        assert len(evaluated) >= 2  # refinement levels were built
-    assert np.unique(nodes).size == nodes.size
+    for qs, rtol in runs:
+        for q in qs:
+            for th in thetas:
+                first[th, q] = bracket_or_best(x, C, th, q, None, rtol)
+                windowed_real_norm(x, C, th, q)
+        nodes = np.concatenate(evaluated)
+        if polyhedral:  # the sandwich: K point by point, no profile
+            assert len(evaluated) >= 1 and all(ts.size == 1 for ts in evaluated)
+        else:
+            assert len(evaluated) >= 2  # sampling rounds or refinement levels were run
+        assert np.unique(nodes).size == nodes.size
+        evaluated.clear()
     # a second pass over the same (couple, x) evaluates no K at all
-    before = len(evaluated)
-    for q in QS:
-        for th in thetas:
-            assert real_norm(x, C, th, q, rtol=1e-5 if q != INF else 1e-4) == first[th, q]
-    assert len(evaluated) == before
+    for qs, rtol in runs:
+        for q in qs:
+            for th in thetas:
+                assert bracket_or_best(x, C, th, q, None, rtol) == first[th, q]
+    assert evaluated == []
 
 
 def test_refined_level_nests_the_coarser_one():

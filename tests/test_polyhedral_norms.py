@@ -1,6 +1,6 @@
 """Exact real-method norms over polyhedral couples (both exponents in {1, inf}).
 
-There K is the lower envelope of a few lines: `spaces.KEnvelope` finds them
+There K is the lower envelope of a few lines: `envelope.KEnvelope` finds them
 by the sandwich method, and `real_norm` and `windowed_real_norm` reduce the
 envelope for q in {1, 2, inf}.  The brackets are held against
 `oracles.PolyhedralK`, K and the norms in 50-digit arithmetic from the
@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from interpol_lab import spaces
 from interpol_lab.functors import QuadratureConfig, real_norm, windowed_real_norm
-from interpol_lab.spaces import BanachCouple, KEnvelope, WeightedSpace, k_closed_form_l1, unit_binade
+from interpol_lab.envelope import KEnvelope
+from interpol_lab.spaces import BanachCouple, WeightedSpace, k_closed_form_l1, unit_binade
 
 from oracles import PolyhedralK, scalar_k_oracle
 
@@ -95,7 +96,7 @@ def test_envelope_bounds_k_everywhere_from_few_evaluations(monkeypatch, pair):
     for case in range(12):
         C, x = draw_case(int(rng.integers(2**32)), pair, (1.5, 5.0, 30.0)[case % 3], case % 2 == 1)
         m = unit_binade(np.abs(x))[0]
-        env = KEnvelope.of(C, m)
+        env = KEnvelope.of(C, m).level(0)
         oracle = PolyhedralK(m, C)
         # the sandwich needs about two evaluations per line of K
         assert 1 <= len(evaluated) == env.ts.size <= 2 * len(oracle.hull)

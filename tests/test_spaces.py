@@ -146,9 +146,25 @@ def test_k_functional_linf_matches_oracle():
     x = np.array([1.0 + 0.5j, -2.0])
     for t in (0.1, 1.0, 7.0):
         ev = k_functional(t, x, C)
-        assert ev.gap == 0.0
+        # the upper end is the split's own objective, rounded outward
+        assert ev.gap <= 1e-14 * ev.upper
         assert ev.value == pytest.approx(k_closed_form_linf(t, x, C), rel=1e-14)
         assert ev.value == pytest.approx(grid_k_oracle(t, x, C), abs=2e-5)
+
+
+@pytest.mark.parametrize("span", [5.0, 30.0])
+def test_sup_sup_splitter_objective_lies_within_the_gap(span):
+    # the kink costs of the (inf, inf) split cancel at extreme weights: its
+    # objective exceeded value + gap (gap 0) by up to 2.6e-10 relative at e^+-30
+    rng = np.random.default_rng(int(span))
+    for _ in range(400):
+        d = int(rng.integers(1, 7))
+        C = couple(np.exp(rng.uniform(-span, span, d)), INF, np.exp(rng.uniform(-span, span, d)), INF)
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for t in np.exp(rng.uniform(-2 * span, 2 * span, 5)):
+            ev = k_functional(t, x, C)
+            x0, x1 = ev.splitter
+            assert C.space0.norm(x0) + t * C.space1.norm(x1) <= ev.value + ev.gap, (t, ev)
 
 
 @pytest.mark.parametrize(
