@@ -63,9 +63,22 @@ def _validate_exponent(p) -> float:
     return p
 
 
+_TINY = math.ulp(0.0)
+
+
 def magnitude_pnorm(values: np.ndarray, w: np.ndarray, p: float) -> float:
-    """Weighted l^p norm of a nonnegative magnitude vector."""
-    wy = w * values
+    """Weighted l^p norm of a nonnegative magnitude vector.
+
+    A nonzero vector whose norm underflows (a subnormal entry times a weight
+    below 1) gets the smallest positive double, so the norm stays definite.
+    """
+    n = _weighted_pnorm(w * values, p)
+    if n == 0.0 and np.any(values > 0.0):
+        return _TINY
+    return n
+
+
+def _weighted_pnorm(wy: np.ndarray, p: float) -> float:
     if p == INF:
         return float(np.max(wy)) if wy.size else 0.0
     if p == 1:

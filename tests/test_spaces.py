@@ -67,6 +67,14 @@ def test_l2_norm_at_extreme_magnitudes(scale):
     assert X.norm([3.0, 2.0]) == pytest.approx(5.0, rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+def test_norm_of_a_subnormal_vector_is_positive(p):
+    # 0.5 * 5e-324 rounds to 0; the norm must still tell x from 0
+    X = WeightedSpace(p, [0.5, 0.25])
+    assert X.norm([5e-324j, 0.0]) == 5e-324
+    assert X.norm([0.0, 0.0]) == 0.0
+
+
 @st.composite
 def space_and_vectors(draw, max_dim=5):
     d = draw(st.integers(1, max_dim))
